@@ -19,9 +19,10 @@ if TYPE_CHECKING:
 def floor_div(p: int, q: int) -> int:
     """Integer quotient of p by q, rounded toward negative infinity.
 
-    Implemented as an explicit three-case rule rather than through the host
-    language's division operator, because the congruences the year-share
-    formulas rely on break under truncation for negative dividends.
+    Python's `//` already rounds this way.  A port must not replace it with
+    a truncating division (C's `/`, `int(p / q)`): the congruences the
+    year-share formulas rely on break under truncation for negative
+    dividends.
 
     >>> floor_div(7, 2)
     3
@@ -32,12 +33,7 @@ def floor_div(p: int, q: int) -> int:
     """
     if q <= 0:
         raise ValueError(f"divisor must be positive, got {q}")
-    if p >= 0:
-        return p // q
-    mag, rem = divmod(-p, q)
-    if rem == 0:
-        return -mag
-    return -(mag + 1)
+    return p // q
 
 
 def mod7(n: int) -> int:
@@ -48,7 +44,7 @@ def mod7(n: int) -> int:
     >>> mod7(-3)
     4
     """
-    return n - 7 * floor_div(n, 7)
+    return n % 7
 
 
 def check_year2(y: int) -> int:

@@ -11,11 +11,10 @@ import json
 import sys
 
 from .arith import SignConvention
-from .dates import DateParseError, DateValidationError, parse_date
+from .dates import parse_date
 from .divisor import NotRepresentableError, derive_divisor_formula
-from .pipeline import CalendarPolicyError, PipelineId, dow
+from .pipeline import PipelineId, dow
 from .registry import (
-    UnknownMethodError,
     cost_report,
     evaluate,
     get_method,
@@ -143,17 +142,19 @@ def cmd_dow(args) -> int:
         method_id=args.method,
         pipeline=PipelineId(args.pipeline),
         proleptic=args.proleptic,
+        with_trace=args.explain,
     )
     if args.json:
-        _emit_json(
-            {
-                "date": str(date),
-                "weekday": int(result.weekday),
-                "weekday_name": result.weekday.display_name,
-                "method": result.method_id,
-                "pipeline": result.pipeline.value,
-            }
-        )
+        payload = {
+            "date": str(date),
+            "weekday": int(result.weekday),
+            "weekday_name": result.weekday.display_name,
+            "method": result.method_id,
+            "pipeline": result.pipeline.value,
+        }
+        if args.explain:
+            payload["steps"] = result.trace.to_jsonable()
+        _emit_json(payload)
         return 0
     print(f"{date} is a {result.weekday.display_name} (weekday {int(result.weekday)})")
     if args.explain:
@@ -233,10 +234,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (DateParseError, DateValidationError, CalendarPolicyError, UnknownMethodError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # every named input error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,12 @@
 """Uniform interface over all fourteen year-share methods.
 
-The registry is a closed, immutable table built at import time.  Everything
-downstream (CLI, verification, cost reports, the day-of-week pipeline) goes
-through `evaluate`, so a method is fully described by one descriptor plus
-one function returning a ShareResult.
+The registry, `METHODS`, is a plain dict built at import time.  Nothing in
+the package changes it, but it is not immutable: a caller (or a test
+installing a corrupted method) may replace an entry, and every lookup sees
+the change.  Everything downstream (CLI, verification, cost reports, the
+day-of-week pipeline) finds methods through it and reads results through
+one cache keyed on the method's function, so a method is fully described by
+one descriptor plus one function returning a ShareResult.
 """
 
 from __future__ import annotations

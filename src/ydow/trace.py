@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 import json
 
+from .arith import floor_div, mod7
+
 
 class StepKind(str, Enum):
     SET = "set"
@@ -42,15 +44,6 @@ class TraceReplayError(ValueError):
     """A recorded step does not match its recomputed arithmetic."""
 
 
-def _floor_div(p: int, q: int) -> int:
-    # Local copy of floor-toward-negative-infinity division; arith.py holds
-    # the public one and imports this module, so no import the other way.
-    if p >= 0:
-        return p // q
-    mag, rem = divmod(-p, q)
-    return -mag if rem == 0 else -(mag + 1)
-
-
 def _recompute(step: Step) -> int:
     k, ops = step.kind, step.operands
     if k is StepKind.SET:
@@ -64,13 +57,13 @@ def _recompute(step: Step) -> int:
     if k is StepKind.HALVE:
         return ops[0] // 2
     if k is StepKind.QUARTER_FLOOR:
-        return _floor_div(ops[0], 4)
+        return floor_div(ops[0], 4)
     if k is StepKind.DIV_SPLIT:
-        return _floor_div(ops[0], ops[1])
+        return floor_div(ops[0], ops[1])
     if k is StepKind.MUL_SMALL:
         return ops[0] * ops[1]
     if k is StepKind.MOD7_REDUCE:
-        return ops[0] - 7 * _floor_div(ops[0], 7)
+        return mod7(ops[0])
     if k is StepKind.SIGN_FLIP:
         return -ops[0]
     raise TraceReplayError(f"unknown step kind {k!r}")
@@ -165,10 +158,26 @@ DEFAULT_COST_MODEL = CostModel()
 
 
 def load_cost_model(path: str) -> CostModel:
-    """Read a cost model from a JSON file: {"name": ..., "weights": {kind: int}}."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    """Read a cost model from a JSON file: {"name": ..., "weights": {kind: int}}.
+
+    Every way the file can be wrong (unreadable, not JSON, not an object,
+    unknown kind, a weight that is not a nonnegative int) raises ValueError.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read cost model {path!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"cost model {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"cost model {path!r} must be a JSON object, got {type(data).__name__}")
+    given = data.get("weights", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"cost model {path!r}: weights must be an object, got {type(given).__name__}")
     weights = dict(DEFAULT_WEIGHTS)
-    for key, value in data.get("weights", {}).items():
-        weights[StepKind(key)] = int(value)
+    for key, value in given.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"cost model {path!r}: weight for {key!r} must be an integer, got {value!r}")
+        weights[StepKind(key)] = value
     return CostModel(name=str(data.get("name", path)), weights=weights)

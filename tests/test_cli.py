@@ -222,6 +222,43 @@ def test_cost_custom_model(capsys, tmp_path):
     assert data["rows"][0]["min_cost"] == data["rows"][0]["max_cost"] == 4
 
 
+def _one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_cost_missing_model_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "cost", "--all", "--model", str(tmp_path / "absent.json"), "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "cannot read cost model" in _one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1, 2]", "must be a JSON object, got list"),
+        ("{", "is not valid JSON"),
+        ('{"weights": [["halve", 1]]}', "weights must be an object, got list"),
+        ('{"weights": {"halve": 1.5}}', "weight for 'halve' must be an integer, got 1.5"),
+        ('{"weights": {"halve": true}}', "weight for 'halve' must be an integer, got True"),
+        ('{"weights": {"halve": "2"}}', "weight for 'halve' must be an integer, got '2'"),
+        ('{"weights": {"halve": -1}}', "negative weight for halve"),
+        ('{"weights": {"guess": 1}}', "'guess' is not a valid StepKind"),
+    ],
+    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind"],
+)
+def test_cost_bad_model_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "model.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "cost", "--all", "--model", str(path), "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert message in _one_error_line(err)
+
+
 def test_dow_text(capsys):
     code, out, _ = run(capsys, "dow", "--date", "2000-01-01")
     assert code == 0
@@ -240,6 +277,27 @@ def test_dow_json(capsys):
         "method": "eisele",
         "pipeline": "first-sunday",
     }
+
+
+def test_dow_json_explain_steps_replay_to_the_weekday(capsys):
+    for pl in ("doomsday", "first-sunday"):
+        code, data, _ = run_json(
+            capsys, "dow", "--date", "1969-07-20", "--method", "fong", "--pipeline", pl, "--json", "--explain"
+        )
+        assert code == 0
+        steps = data.pop("steps")
+        assert data == {
+            "date": "1969-07-20",
+            "weekday": 0,
+            "weekday_name": "Sunday",
+            "method": "fong",
+            "pipeline": pl,
+        }
+        trace = StepTrace(
+            tuple(Step(StepKind(s["kind"]), s["description"], tuple(s["operands"]), s["result"]) for s in steps)
+        )
+        assert trace.to_jsonable() == steps
+        assert trace.replay() == data["weekday"]
 
 
 def test_dow_explain(capsys):

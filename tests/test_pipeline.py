@@ -1,3 +1,5 @@
+import datetime
+
 import pytest
 
 from ydow.dates import CivilDate, Weekday, daycount_weekday, is_leap, month_length
@@ -131,3 +133,45 @@ def test_all_methods_agree_everywhere_in_one_year():
                 for pl in PipelineId
             }
             assert len(answers) == 1, cd
+
+
+def test_dow_result_is_immutable():
+    res = dow(CivilDate(2000, 1, 1), "odd11", PipelineId.DOOMSDAY, with_trace=False)
+    with pytest.raises(AttributeError):
+        res.weekday = Weekday.SUNDAY
+
+
+def test_unknown_pipeline_rejected():
+    with pytest.raises(ValueError):
+        dow(CivilDate(2023, 6, 15), "odd11", "bogus")
+
+
+@pytest.fixture(scope="module")
+def gregorian_cycle():
+    """Every date of 2000-01-01..2399-12-31 with its stdlib weekday (0=Sunday)."""
+    start = datetime.date(2000, 1, 1)
+    days = [start + datetime.timedelta(days=i) for i in range(146097)]
+    assert days[-1] == datetime.date(2399, 12, 31)
+    return [(CivilDate(d.year, d.month, d.day), d.isoweekday() % 7) for d in days]
+
+
+def test_daycount_oracle_over_a_full_400_year_cycle(gregorian_cycle):
+    for cd, want in gregorian_cycle:
+        assert daycount_weekday(cd) == want, cd
+
+
+def test_dow_over_a_full_400_year_cycle(gregorian_cycle):
+    """An exhaustive proof for every method, pipeline and Gregorian date.
+
+    Gregorian weekdays repeat every 400 years (146,097 days, exactly 20,871
+    weeks), and the assembly reads the year only through year mod 400: the
+    century mod 4, the two-digit year and the leap flag.  The value path
+    uses a method only through `share.residue`, and acceptance criterion 1
+    proves `residue == year_share(y)` for every method and year.  So one
+    method of each sign convention over one full cycle covers every method
+    x pipeline for all Gregorian dates.
+    """
+    for mid in ("odd11", "fong"):
+        for pl in PipelineId:
+            for cd, want in gregorian_cycle:
+                assert dow(cd, mid, pl, with_trace=False).weekday == want, (cd, mid, pl)
