@@ -4,13 +4,16 @@ All functions are pure and operate on plain ints.  The central quantity is
 the *year share* of a two-digit year y: floor(5y/4) reduced mod 7, the number
 of weekdays the date advances between the century year and year y (one day
 per common year, two per leap year).
+
+A method's output, `ShareResult`, is an immutable `typing.NamedTuple`:
+fields are read by name, assignment raises AttributeError, and a result
+compares equal to a plain tuple holding the same four values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .trace import StepTrace
@@ -76,8 +79,7 @@ class SignConvention(Enum):
     NEGATIVE = "neg"
 
 
-@dataclass(frozen=True)
-class ShareResult:
+class ShareResult(NamedTuple):
     """A method's output: the unreduced raw value, its sign convention, the
     implied positive residue in [0, 6], and the trace of steps taken.
 
@@ -94,13 +96,11 @@ class ShareResult:
     @property
     def negative_residue(self) -> int:
         """Residue of the negated share, mod7(-positive)."""
-        return mod7(-self.residue)
+        return -self.residue % 7
 
 
 def normalize(raw: int, convention: SignConvention, trace: "StepTrace | None" = None) -> ShareResult:
     """Wrap a raw method output with its normalized positive residue."""
     if convention is SignConvention.POSITIVE:
-        residue = mod7(raw)
-    else:
-        residue = mod7(-raw)
-    return ShareResult(raw=raw, convention=convention, residue=residue, trace=trace)
+        return ShareResult(raw, convention, raw % 7, trace)
+    return ShareResult(raw, convention, -raw % 7, trace)

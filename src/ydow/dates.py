@@ -96,11 +96,13 @@ class CivilDate:
         return days + self.day
 
 
-_ISO_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+# [0-9], not \d: \d also takes other scripts' decimal digits (full-width,
+# Arabic-Indic, ...), which int() would then quietly accept.
+_ISO_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
 
 
 def parse_date(text: str) -> CivilDate:
-    """Parse exactly YYYY-MM-DD.
+    """Parse exactly YYYY-MM-DD, with ASCII digits 0-9 only.
 
     Structural problems raise DateParseError with the offending character
     position; impossible dates (like a Feb 29 in a common year) raise
@@ -113,7 +115,7 @@ def parse_date(text: str) -> CivilDate:
             if i >= len(text):
                 raise DateParseError(f"expected YYYY-MM-DD, input too short: {text!r}", i)
             ch = text[i]
-            if want == "d" and not ch.isdigit():
+            if want == "d" and ch not in "0123456789":
                 raise DateParseError(f"expected a digit, got {ch!r}", i)
             if want == "-" and ch != "-":
                 raise DateParseError(f"expected '-', got {ch!r}", i)

@@ -3,15 +3,23 @@
 Every year-share method (and the day-of-week assembly on top of them) emits a
 trace alongside its numeric result.  A trace can be rendered as a worked
 example, replayed to re-derive the result, and priced under a cost model.
+
+A `Step` is an immutable `typing.NamedTuple`, so it is cheap to build and
+walk.  Like any tuple it compares equal to a plain tuple holding the same
+four fields.  `StepTrace` stays a dataclass wrapping a tuple of steps: its
+length and iteration are the steps', which a tuple base would conflict with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 import json
 
-from .arith import floor_div, mod7
+from .arith import floor_div
 
 
 class StepKind(str, Enum):
@@ -27,13 +35,7 @@ class StepKind(str, Enum):
     SIGN_FLIP = "sign_flip"
 
 
-# PARITY_TEST inspects a value without producing a new working value; every
-# other kind yields a number that later steps may build on.
-_NON_VALUE_KINDS = frozenset({StepKind.PARITY_TEST})
-
-
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     kind: StepKind
     description: str
     operands: tuple[int, ...]
@@ -44,29 +46,24 @@ class TraceReplayError(ValueError):
     """A recorded step does not match its recomputed arithmetic."""
 
 
-def _recompute(step: Step) -> int:
-    k, ops = step.kind, step.operands
-    if k is StepKind.SET:
-        return ops[0]
-    if k is StepKind.PARITY_TEST:
-        return ops[0] % 2
-    if k is StepKind.ADD_CONST:
-        return ops[0] + ops[1]
-    if k is StepKind.SUB_CONST:
-        return ops[0] - ops[1]
-    if k is StepKind.HALVE:
-        return ops[0] // 2
-    if k is StepKind.QUARTER_FLOOR:
-        return floor_div(ops[0], 4)
-    if k is StepKind.DIV_SPLIT:
-        return floor_div(ops[0], ops[1])
-    if k is StepKind.MUL_SMALL:
-        return ops[0] * ops[1]
-    if k is StepKind.MOD7_REDUCE:
-        return mod7(ops[0])
-    if k is StepKind.SIGN_FLIP:
-        return -ops[0]
-    raise TraceReplayError(f"unknown step kind {k!r}")
+# How replay recomputes each kind from its operand snapshot; one rule per
+# StepKind.  Floors go through floor_div, so a division step with a divisor
+# <= 0 raises ValueError.
+_RULES = {
+    StepKind.SET: itemgetter(0),
+    StepKind.PARITY_TEST: lambda ops: ops[0] % 2,
+    StepKind.ADD_CONST: lambda ops: ops[0] + ops[1],
+    StepKind.SUB_CONST: lambda ops: ops[0] - ops[1],
+    StepKind.HALVE: lambda ops: ops[0] // 2,
+    StepKind.QUARTER_FLOOR: lambda ops: floor_div(ops[0], 4),
+    StepKind.DIV_SPLIT: lambda ops: floor_div(ops[0], ops[1]),
+    StepKind.MUL_SMALL: lambda ops: ops[0] * ops[1],
+    StepKind.MOD7_REDUCE: lambda ops: ops[0] % 7,
+    StepKind.SIGN_FLIP: lambda ops: -ops[0],
+}
+# PARITY_TEST inspects a value without producing a new working value; every
+# other kind yields a number that later steps may build on.
+_PARITY_TEST = StepKind.PARITY_TEST
 
 
 @dataclass(frozen=True)
@@ -87,14 +84,15 @@ class StepTrace:
         which for a method trace is the method's raw output.
         """
         final = None
-        for i, step in enumerate(self.steps):
-            got = _recompute(step)
-            if got != step.result:
+        for i, (kind, _, operands, result) in enumerate(self.steps):
+            if kind.__class__ is not StepKind:
+                raise TraceReplayError(f"unknown step kind {kind!r}")
+            got = _RULES[kind](operands)
+            if got != result:
                 raise TraceReplayError(
-                    f"step {i + 1} ({step.kind.value}): recorded "
-                    f"{step.result}, recomputed {got}"
+                    f"step {i + 1} ({kind.value}): recorded {result}, recomputed {got}"
                 )
-            if step.kind not in _NON_VALUE_KINDS:
+            if kind is not _PARITY_TEST:
                 final = got
         if final is None:
             raise TraceReplayError("trace has no value-producing step")
@@ -102,12 +100,18 @@ class StepTrace:
 
     def max_magnitude(self) -> int:
         """Largest absolute value appearing anywhere in the trace."""
-        m = 0
-        for step in self.steps:
-            for v in step.operands:
-                m = max(m, abs(v))
-            m = max(m, abs(step.result))
-        return m
+        hi = lo = 0
+        for _, _, operands, result in self.steps:
+            for v in operands:
+                if v > hi:
+                    hi = v
+                elif v < lo:
+                    lo = v
+            if result > hi:
+                hi = result
+            elif result < lo:
+                lo = result
+        return hi if hi >= -lo else -lo
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -124,7 +128,7 @@ class StepTrace:
 # Defaults reflect rough mental effort: free to load a number, cheap to test
 # parity or add a small constant, more work to halve or take quarters.  They
 # are configuration, not calibrated measurements.
-DEFAULT_WEIGHTS = {
+DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
     StepKind.SET: 0,
     StepKind.PARITY_TEST: 1,
     StepKind.ADD_CONST: 1,
@@ -135,23 +139,33 @@ DEFAULT_WEIGHTS = {
     StepKind.MUL_SMALL: 2,
     StepKind.MOD7_REDUCE: 2,
     StepKind.SIGN_FLIP: 1,
-}
+})
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Weights one unit of mental effort per step kind."""
+    """Weights one unit of mental effort per step kind.
+
+    The model keeps a read-only copy of the weights it is given, so no caller
+    can reprice a shared model after the fact.  Equal models hash equal; the
+    hash reads the name only.
+    """
 
     name: str = "default"
-    weights: dict[StepKind, int] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    weights: Mapping[StepKind, int] = field(default_factory=lambda: DEFAULT_WEIGHTS, hash=False)
 
     def __post_init__(self):
         for kind, w in self.weights.items():
             if w < 0:
                 raise ValueError(f"negative weight for {kind.value}: {w}")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     def cost(self, trace: StepTrace) -> int:
-        return sum(self.weights.get(s.kind, 0) for s in trace.steps)
+        get = self.weights.get
+        total = 0
+        for step in trace.steps:
+            total += get(step[0], 0)
+        return total
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -313,6 +313,13 @@ def test_dow_malformed_date_exits_2(capsys):
     assert "error:" in err
 
 
+def test_dow_non_ascii_digits_exit_2(capsys):
+    code, out, err = run(capsys, "dow", "--date", "２０００-01-01")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: expected a digit, got '２' (at position 0)"]
+
+
 def test_dow_invalid_date_exits_2(capsys):
     code, _, err = run(capsys, "dow", "--date", "1900-02-29")
     assert code == 2

@@ -130,3 +130,40 @@ def test_civil_date_validation():
     with pytest.raises(DateValidationError):
         CivilDate(0, 1, 1)
     CivilDate(2024, 2, 29)  # fine
+
+
+@pytest.mark.parametrize("text", ["２０００-01-01", "²000-01-01", "٢٠٠٠-01-01"])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(DateParseError, match="expected a digit") as e:
+        parse_date(text)
+    assert e.value.position == 0
+
+
+def test_parse_rejects_a_non_ascii_digit_anywhere():
+    with pytest.raises(DateParseError) as e:
+        parse_date("2000-01-0１")
+    assert e.value.position == 9
+
+
+@given(st.text())
+def test_parse_arbitrary_text_raises_only_date_errors(text):
+    try:
+        parse_date(text)
+    except (DateParseError, DateValidationError):
+        pass
+
+
+@given(st.text(alphabet="0123456789-２²", max_size=12))
+def test_parse_near_iso_text_raises_only_date_errors(text):
+    try:
+        cd = parse_date(text)
+    except (DateParseError, DateValidationError):
+        return
+    assert str(cd) == text
+
+
+@given(st.dates())
+def test_parse_round_trips_every_iso_date(d):
+    cd = parse_date(d.isoformat())
+    assert (cd.year, cd.month, cd.day) == (d.year, d.month, d.day)
+    assert str(cd) == d.isoformat()
