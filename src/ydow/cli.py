@@ -22,11 +22,19 @@ from .registry import (
     verify_all,
     verify_method,
 )
-from .trace import DEFAULT_COST_MODEL, load_cost_model
+from .trace import DEFAULT_COST_MODEL, StepTrace, load_cost_model
 
 
-def _emit_json(obj) -> None:
+def _emit_json(obj: dict | list, trace: StepTrace | None = None) -> None:
+    """Print obj as JSON; a trace, when given, goes under "steps"."""
+    if trace is not None:
+        obj["steps"] = trace.to_jsonable()
     print(json.dumps(obj, indent=2))
+
+
+def _print_steps(trace: StepTrace) -> None:
+    for i, step in enumerate(trace.steps, 1):
+        print(f"  {i}. {step.description}")
 
 
 def _share_json(method_id: str, y: int) -> dict:
@@ -60,13 +68,10 @@ def cmd_explain(args) -> int:
     desc = get_method(args.method)
     res = evaluate(args.method, args.year)
     if args.json:
-        payload = _share_json(args.method, args.year)
-        payload["steps"] = res.trace.to_jsonable()
-        _emit_json(payload)
+        _emit_json(_share_json(args.method, args.year), res.trace)
         return 0
     print(f"{desc.display_name} ({desc.id}), year {args.year}:")
-    for i, step in enumerate(res.trace.steps, 1):
-        print(f"  {i}. {step.description}")
+    _print_steps(res.trace)
     kind = "negative share" if res.convention is SignConvention.NEGATIVE else "positive share"
     print(f"result: {res.raw} ({kind})")
     print(f"positive residue mod 7: {res.residue}")
@@ -152,14 +157,11 @@ def cmd_dow(args) -> int:
             "method": result.method_id,
             "pipeline": result.pipeline.value,
         }
-        if args.explain:
-            payload["steps"] = result.trace.to_jsonable()
-        _emit_json(payload)
+        _emit_json(payload, result.trace)  # the trace is None without --explain
         return 0
     print(f"{date} is a {result.weekday.display_name} (weekday {int(result.weekday)})")
     if args.explain:
-        for i, step in enumerate(result.trace.steps, 1):
-            print(f"  {i}. {step.description}")
+        _print_steps(result.trace)
     return 0
 
 

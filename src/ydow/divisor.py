@@ -8,6 +8,13 @@ its negative) collapses to a formula of the shape
 with small coefficients.  Six divisors ship as a built-in table; the
 derivation engine reconstructs such a formula for any divisor in [2, 28]
 that admits one with the inner q-coefficient in {-1, 0, 1}.
+
+`div4` and `div12` compute the d=4 and d=12 table entries but keep their
+own traces.  Running them through `eval_divisor` would keep their values,
+their costs under the default model and their largest magnitudes, yet it
+would change what a user sees: `explain` would lose the wording in which
+each rule is taught, and `div4`'s halving would become a `MUL_SMALL` step,
+so `cost --model` with a `halve` weight would report a different cost.
 """
 
 from __future__ import annotations

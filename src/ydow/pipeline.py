@@ -13,7 +13,9 @@ depends on the year only through its value mod 400, so that is a proof for
 every Gregorian date.
 
 `dow(..., with_trace=False)` is the value path: a few table lookups, plain
-`% 7` and one cached year share.  `DowResult` is an immutable NamedTuple.
+`% 7` and one cached year share, and no step objects.  The traced call runs
+no separate weekday formula: it emits the assembly's steps and takes the
+weekday from the last step's result.  `DowResult` is an immutable NamedTuple.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .arith import SignConvention, mod7
+from .arith import SignConvention
 from .dates import CivilDate, Weekday, is_leap
 from .registry import _cached_eval, get_method
 from .trace import Step, StepKind, StepTrace
@@ -84,6 +86,8 @@ def dow(
 
     with_trace=False skips building the step-by-step explanation, which
     matters when sweeping millions of dates; the weekday is identical.
+    With a trace, the weekday is the result of the trace's last step, so
+    the answer and its explanation cannot disagree.
     """
     desc = get_method(method_id)  # fail fast on unknown ids
     if pipeline.__class__ is not PipelineId:
@@ -99,86 +103,61 @@ def dow(
     anchor = _CENTURY_ANCHORS[century % 4]
     dd = _MONTH_ANCHORS[is_leap(year)][date.month]
 
+    if with_trace:
+        trace = _build_trace(date, share, pipeline is _DOOMSDAY, anchor, dd)
+        return DowResult(date, _WEEKDAYS[trace.steps[-1].result], method_id, pipeline, trace)
     if pipeline is _DOOMSDAY:
         weekday = _WEEKDAYS[(anchor + share.residue + date.day - dd) % 7]
     else:
         s = (dd - anchor - share.residue) % 7  # first Sunday, 0 standing for 7
         weekday = _WEEKDAYS[(date.day - (s or 7)) % 7]
-
-    trace = None
-    if with_trace:
-        trace = _build_trace(date, share, pipeline, anchor, dd, weekday)
-    return DowResult(date, weekday, method_id, pipeline, trace)
+    return DowResult(date, weekday, method_id, pipeline)
 
 
-def _build_trace(
-    date: CivilDate,
-    share,
-    pipeline: PipelineId,
-    anchor: int,
-    dd: int,
-    weekday: Weekday,
-) -> StepTrace:
+def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -> StepTrace:
+    """The method's steps, then the assembly's; the last step's result is the weekday.
+
+    Both assemblies open by reducing the share in the sign they consume
+    (positive for Doomsday, negative for First-Sunday) and close with one
+    mod-7 reduction to the weekday number.  Only the steps between differ.
+    """
     steps = list(share.trace.steps) if share.trace is not None else []
+    if doomsday:
+        wanted, sign, share_name = SignConvention.POSITIVE, "positive", "year share"
+    else:
+        wanted, sign, share_name = SignConvention.NEGATIVE, "negative", "negative year share"
     raw = share.raw
-    if pipeline is PipelineId.DOOMSDAY:
-        if share.convention is SignConvention.NEGATIVE:
-            steps.append(
-                Step(StepKind.SIGN_FLIP, f"positive share is the negation: {-raw}", (raw,), -raw)
-            )
-            raw = -raw
-        steps.append(
-            Step(StepKind.MOD7_REDUCE, f"reduce mod 7: year share {share.residue}", (raw,), share.residue)
-        )
-        a1 = share.residue + anchor
-        steps.append(
-            Step(StepKind.ADD_CONST, f"add the century anchor {anchor}: {share.residue} + {anchor} = {a1}",
-                 (share.residue, anchor), a1)
-        )
-        a2 = a1 + date.day
-        steps.append(
-            Step(StepKind.ADD_CONST, f"add the day of the month: {a1} + {date.day} = {a2}", (a1, date.day), a2)
-        )
-        a3 = a2 - dd
-        steps.append(
-            Step(StepKind.SUB_CONST, f"subtract the month's anchor date {dd}: {a2} - {dd} = {a3}", (a2, dd), a3)
-        )
-        steps.append(
-            Step(StepKind.MOD7_REDUCE, f"reduce mod 7: weekday {int(weekday)} ({weekday.display_name})",
-                 (a3,), int(weekday))
-        )
-        return StepTrace(tuple(steps))
-
-    neg = share.negative_residue
-    if share.convention is SignConvention.POSITIVE:
-        steps.append(
-            Step(StepKind.SIGN_FLIP, f"negative share is the negation: {-raw}", (raw,), -raw)
-        )
+    if share.convention is not wanted:
+        steps.append(Step(StepKind.SIGN_FLIP, f"{sign} share is the negation: {-raw}", (raw,), -raw))
         raw = -raw
-    steps.append(
-        Step(StepKind.MOD7_REDUCE, f"reduce mod 7: negative year share {neg}", (raw,), neg)
-    )
-    cterm = mod7(-anchor)
-    a1 = neg + cterm
-    steps.append(
-        Step(StepKind.ADD_CONST, f"add the century term {cterm}: {neg} + {cterm} = {a1}", (neg, cterm), a1)
-    )
-    a2 = a1 + dd
-    steps.append(
-        Step(StepKind.ADD_CONST, f"add the month's anchor date {dd}: {a1} + {dd} = {a2}", (a1, dd), a2)
-    )
-    s = mod7(a2)
-    steps.append(Step(StepKind.MOD7_REDUCE, f"reduce mod 7: {s}", (a2,), s))
-    f = s if s else 7
-    steps.append(
-        Step(StepKind.SET, f"first Sunday of the month falls on day {f}", (f,), f)
-    )
-    diff = date.day - f
-    steps.append(
-        Step(StepKind.SUB_CONST, f"day {date.day} minus the first Sunday {f}: {diff}", (date.day, f), diff)
-    )
-    steps.append(
-        Step(StepKind.MOD7_REDUCE, f"reduce mod 7: weekday {int(weekday)} ({weekday.display_name})",
-             (diff,), int(weekday))
-    )
+    r = raw % 7
+    steps.append(Step(StepKind.MOD7_REDUCE, f"reduce mod 7: {share_name} {r}", (raw,), r))
+
+    day = date.day
+    if doomsday:
+        a1 = r + anchor
+        a2 = a1 + day
+        last = a2 - dd
+        steps += (
+            Step(StepKind.ADD_CONST, f"add the century anchor {anchor}: {r} + {anchor} = {a1}", (r, anchor), a1),
+            Step(StepKind.ADD_CONST, f"add the day of the month: {a1} + {day} = {a2}", (a1, day), a2),
+            Step(StepKind.SUB_CONST, f"subtract the month's anchor date {dd}: {a2} - {dd} = {last}", (a2, dd), last),
+        )
+    else:
+        cterm = -anchor % 7
+        a1 = r + cterm
+        a2 = a1 + dd
+        s = a2 % 7
+        f = s or 7
+        last = day - f
+        steps += (
+            Step(StepKind.ADD_CONST, f"add the century term {cterm}: {r} + {cterm} = {a1}", (r, cterm), a1),
+            Step(StepKind.ADD_CONST, f"add the month's anchor date {dd}: {a1} + {dd} = {a2}", (a1, dd), a2),
+            Step(StepKind.MOD7_REDUCE, f"reduce mod 7: {s}", (a2,), s),
+            Step(StepKind.SET, f"first Sunday of the month falls on day {f}", (f,), f),
+            Step(StepKind.SUB_CONST, f"day {day} minus the first Sunday {f}: {last}", (day, f), last),
+        )
+
+    w = last % 7
+    steps.append(Step(StepKind.MOD7_REDUCE, f"reduce mod 7: weekday {w} ({_WEEKDAYS[w].display_name})", (last,), w))
     return StepTrace(tuple(steps))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import digits, divisor, special
@@ -42,20 +42,12 @@ class MethodDescriptor:
     func: Callable[[int], ShareResult]
 
 
-def _divisor_func(d: int) -> Callable[[int], ShareResult]:
-    spec = divisor.BUILTIN_DIVISOR_SPECS[d]
-
-    def run(y: int) -> ShareResult:
-        return divisor.eval_divisor(spec, y)
-
-    run.__name__ = f"div{d}"
-    run.__doc__ = f"Divisor formula for d={d}: {spec.formula()} ({spec.convention.value} share)."
-    return run
-
-
 def _build_registry() -> dict[str, MethodDescriptor]:
     neg = SignConvention.NEGATIVE
     pos = SignConvention.POSITIVE
+    # Each partial is built once here, so _cached_eval keys on a stable object.
+    spec = divisor.BUILTIN_DIVISOR_SPECS
+    run = divisor.eval_divisor
     rows = [
         ("odd11", "Odd + 11", MethodCategory.SPECIAL, neg,
          "odd+11 rule of Fong and Walters", special.odd11),
@@ -64,15 +56,15 @@ def _build_registry() -> dict[str, MethodDescriptor]:
         ("div4", "Halved multiple of four", MethodCategory.DIVISOR, neg,
          "leap-cycle split: half of 4q, minus the remainder", divisor.div4),
         ("div5", "Division by 5", MethodCategory.DIVISOR, neg,
-         "derived divisor formula, d=5", _divisor_func(5)),
+         "derived divisor formula, d=5", partial(run, spec[5])),
         ("div11", "Division by 11", MethodCategory.DIVISOR, pos,
-         "derived divisor formula, d=11", _divisor_func(11)),
+         "derived divisor formula, d=11", partial(run, spec[11])),
         ("div12", "Dozens", MethodCategory.DIVISOR, pos,
          "dozens + remainder + fours-in-remainder rule", divisor.div12),
         ("div16", "Division by 16", MethodCategory.DIVISOR, pos,
-         "derived divisor formula, d=16", _divisor_func(16)),
+         "derived divisor formula, d=16", partial(run, spec[16])),
         ("div17", "Division by 17", MethodCategory.DIVISOR, pos,
-         "derived divisor formula, d=17", _divisor_func(17)),
+         "derived divisor formula, d=17", partial(run, spec[17])),
         ("eisele", "Eisele digit rule", MethodCategory.DIGIT, pos,
          "Martin Eisele's multiple-of-four digit rule", digits.eisele),
         ("harringer", "Harringer digit rule", MethodCategory.DIGIT, pos,

@@ -146,19 +146,26 @@ DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
 class CostModel:
     """Weights one unit of mental effort per step kind.
 
-    The model keeps a read-only copy of the weights it is given, so no caller
-    can reprice a shared model after the fact.  Equal models hash equal; the
-    hash reads the name only.
+    Every key must name a StepKind (a member or its value) and every weight
+    must be a nonnegative int (a bool is not); anything else raises
+    ValueError.  The model keeps a read-only copy of the weights, keyed on
+    StepKind, so no caller can reprice a shared model after the fact.  Equal
+    models hash equal; the hash reads the name only.
     """
 
     name: str = "default"
     weights: Mapping[StepKind, int] = field(default_factory=lambda: DEFAULT_WEIGHTS, hash=False)
 
     def __post_init__(self):
-        for kind, w in self.weights.items():
+        weights = {}
+        for key, w in self.weights.items():
+            kind = StepKind(key)
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise ValueError(f"weight for {kind.value!r} must be an integer, got {w!r}")
             if w < 0:
                 raise ValueError(f"negative weight for {kind.value}: {w}")
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+            weights[kind] = w
+        object.__setattr__(self, "weights", MappingProxyType(weights))
 
     def cost(self, trace: StepTrace) -> int:
         get = self.weights.get
@@ -176,6 +183,7 @@ def load_cost_model(path: str) -> CostModel:
 
     Every way the file can be wrong (unreadable, not JSON, not an object,
     unknown kind, a weight that is not a nonnegative int) raises ValueError.
+    Kinds and weights are checked by CostModel; its message gains the path.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -189,9 +197,7 @@ def load_cost_model(path: str) -> CostModel:
     given = data.get("weights", {})
     if not isinstance(given, dict):
         raise ValueError(f"cost model {path!r}: weights must be an object, got {type(given).__name__}")
-    weights = dict(DEFAULT_WEIGHTS)
-    for key, value in given.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"cost model {path!r}: weight for {key!r} must be an integer, got {value!r}")
-        weights[StepKind(key)] = value
-    return CostModel(name=str(data.get("name", path)), weights=weights)
+    try:
+        return CostModel(name=str(data.get("name", path)), weights={**DEFAULT_WEIGHTS, **given})
+    except ValueError as exc:
+        raise ValueError(f"cost model {path!r}: {exc}") from None

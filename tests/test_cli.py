@@ -1,11 +1,28 @@
+import contextlib
+import datetime
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ydow.arith import SignConvention, normalize
 from ydow.cli import main
-from ydow.registry import METHODS, MethodCategory, MethodDescriptor
-from ydow.trace import Step, StepKind, StepTrace
+from ydow.dates import CivilDate
+from ydow.divisor import NotRepresentableError, derive_divisor_formula
+from ydow.pipeline import PipelineId, dow
+from ydow.registry import (
+    METHODS,
+    MethodCategory,
+    MethodDescriptor,
+    cost_report,
+    evaluate,
+    verify_method,
+)
+from ydow.trace import DEFAULT_COST_MODEL, DEFAULT_WEIGHTS, CostModel, Step, StepKind, StepTrace
 
 
 def run(capsys, *argv):
@@ -344,3 +361,97 @@ def test_dow_methods_and_pipelines_agree(capsys):
             assert code == 0
             answers.add(data["weekday"])
     assert answers == {0}
+
+
+# --json output against the API, for generated inputs.  capsys is a
+# function-scoped fixture, which Hypothesis rejects, so these capture stdout
+# themselves.
+
+METHOD_IDS = list(METHODS)
+
+
+def cli_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+def share_payload(mid, y):
+    res = evaluate(mid, y)
+    return {
+        "method": mid,
+        "year": y,
+        "raw": res.raw,
+        "sign": res.convention.value,
+        "residue": res.residue,
+        "negative_residue": res.negative_residue,
+    }
+
+
+@given(st.sampled_from(METHOD_IDS), st.integers(0, 99))
+def test_compute_and_explain_json_equal_the_api(mid, y):
+    want = share_payload(mid, y)
+    assert cli_json("compute", "--year", str(y), "--method", mid, "--json") == (0, want)
+    want["steps"] = evaluate(mid, y).trace.to_jsonable()
+    assert cli_json("explain", "--year", str(y), "--method", mid, "--json") == (0, want)
+
+
+@given(st.sampled_from(METHOD_IDS))
+def test_table_and_verify_json_equal_the_api(mid):
+    rows = [{"y": y, "raw": evaluate(mid, y).raw, "residue": evaluate(mid, y).residue} for y in range(100)]
+    assert cli_json("table", "--method", mid, "--format", "json") == (0, rows)
+    assert cli_json("verify", "--method", mid, "--json") == (0, [verify_method(mid).to_json_dict()])
+
+
+@given(
+    st.dates(datetime.date(1, 1, 1), datetime.date(9999, 12, 31)),
+    st.sampled_from(METHOD_IDS),
+    st.sampled_from(list(PipelineId)),
+    st.booleans(),
+)
+def test_dow_json_equals_the_api(day, mid, pl, explain):
+    proleptic = ["--proleptic"] if day.year < 1583 else []
+    argv = ["dow", "--date", day.isoformat(), "--method", mid, "--pipeline", pl.value, "--json", *proleptic]
+    res = dow(CivilDate(day.year, day.month, day.day), mid, pl, proleptic=bool(proleptic), with_trace=explain)
+    want = {
+        "date": day.isoformat(),
+        "weekday": int(res.weekday),
+        "weekday_name": res.weekday.display_name,
+        "method": mid,
+        "pipeline": pl.value,
+    }
+    if explain:
+        argv.append("--explain")
+        want["steps"] = res.trace.to_jsonable()
+    assert cli_json(*argv) == (0, want)
+
+
+@given(
+    st.one_of(st.none(), st.sampled_from(METHOD_IDS)),
+    st.one_of(st.none(), st.dictionaries(st.sampled_from(list(StepKind)), st.integers(0, 9))),
+    st.text(max_size=8),
+)
+def test_cost_json_equals_the_api(mid, weights, name):
+    argv = ["cost", "--format", "json", *(["--method", mid] if mid else [])]
+    model = DEFAULT_COST_MODEL
+    if weights is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump({"name": name, "weights": {k.value: w for k, w in weights.items()}}, f)
+            got = cli_json(*argv, "--model", path)
+        model = CostModel(name, {**DEFAULT_WEIGHTS, **weights})
+    else:
+        got = cli_json(*argv)
+    rows = cost_report([mid] if mid else None, model)
+    assert got == (0, {"model": model.name, "rows": [r.to_json_dict() for r in rows]})
+
+
+@given(st.integers(2, 28), st.sampled_from(list(SignConvention)))
+def test_derive_json_equals_the_api(d, sign):
+    try:
+        code, want = 0, derive_divisor_formula(d, sign).to_json_dict()
+    except NotRepresentableError as exc:
+        code, want = 1, {"d": d, "sign": sign.value, "error": str(exc)}
+    assert cli_json("derive", "--divisor", str(d), "--sign", sign.value, "--json") == (code, want)

@@ -12,6 +12,7 @@ from ydow.pipeline import (
     month_anchor_date,
 )
 from ydow.registry import UnknownMethodError, method_ids
+from ydow.trace import StepKind
 
 SAMPLE_DATES = [
     CivilDate(1583, 1, 1),
@@ -88,6 +89,23 @@ def test_dow_trace_replays_to_the_weekday():
         for pl in PipelineId:
             res = dow(cd, "fong", pl)
             assert res.trace.replay() == int(res.weekday), (cd, pl)
+
+
+def test_traced_weekday_is_the_value_path_weekday():
+    """The traced call takes its weekday from its last step: a final mod-7
+    reduction that must match the value path and replay to itself."""
+    start = datetime.date(2000, 1, 1)
+    year_2000 = [start + datetime.timedelta(days=i) for i in range(366)]
+    dates = [CivilDate(d.year, d.month, d.day) for d in year_2000] + SAMPLE_DATES
+    for mid in method_ids():
+        for pl in PipelineId:
+            for cd in dates:
+                traced = dow(cd, mid, pl, with_trace=True)
+                want = dow(cd, mid, pl, with_trace=False).weekday
+                assert traced.weekday == want, (cd, mid, pl)
+                assert traced.trace.replay() == want, (cd, mid, pl)
+                last = traced.trace.steps[-1]
+                assert last.kind is StepKind.MOD7_REDUCE and last.result == want, (cd, mid, pl)
 
 
 def test_dow_without_trace():

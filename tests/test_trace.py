@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -121,3 +122,37 @@ def test_load_cost_model_rejects_unknown_kind(tmp_path):
     path.write_text(json.dumps({"weights": {"telepathy": 1}}))
     with pytest.raises(ValueError):
         load_cost_model(path)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({StepKind.HALVE: 1.5}, "weight for 'halve' must be an integer, got 1.5"),
+        ({StepKind.HALVE: True}, "weight for 'halve' must be an integer, got True"),
+        ({StepKind.HALVE: "2"}, "weight for 'halve' must be an integer, got '2'"),
+        ({"telepathy": 1}, "'telepathy' is not a valid StepKind"),
+    ],
+    ids=["float", "bool", "string", "unknown-kind"],
+)
+def test_cost_model_rejects_bad_weights(weights, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CostModel("bad", weights)
+
+
+def test_cost_model_keys_weights_on_step_kind():
+    model = CostModel("by-value", {"halve": 5})
+    assert dict(model.weights) == {StepKind.HALVE: 5}
+    assert all(kind.__class__ is StepKind for kind in model.weights)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [({"halve": -1}, "negative weight for halve: -1"), ({"telepathy": 1}, "'telepathy' is not a valid StepKind")],
+    ids=["negative", "unknown-kind"],
+)
+def test_load_cost_model_names_the_file_in_model_errors(tmp_path, weights, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": weights}))
+    with pytest.raises(ValueError) as exc:
+        load_cost_model(str(path))
+    assert str(exc.value) == f"cost model {str(path)!r}: {message}"
