@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .arith import SignConvention
@@ -165,6 +166,21 @@ def cmd_dow(args) -> int:
     return 0
 
 
+# [0-9], not int(): int() also takes other scripts' decimal digits (full-width,
+# Arabic-Indic, ...), underscores, a plus sign and surrounding whitespace.
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """argparse type: an optional '-' and ASCII digits 0-9, nothing else."""
+    if _INT_RE.fullmatch(text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ydow",
@@ -173,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def add_year_method(p):
-        p.add_argument("--year", type=int, required=True, help="two-digit year, 0-99")
+        p.add_argument("--year", type=_ascii_int, required=True, help="two-digit year, 0-99")
         p.add_argument("--method", required=True, choices=method_ids(), help="method id")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -193,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="derive a divisor-style formula from scratch")
-    p.add_argument("--divisor", type=int, required=True, metavar="D", help="divisor, 2-28")
+    p.add_argument("--divisor", type=_ascii_int, required=True, metavar="D", help="divisor, 2-28")
     p.add_argument("--sign", required=True, choices=["pos", "neg"], help="which share to target")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_derive)

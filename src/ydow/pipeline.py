@@ -12,10 +12,18 @@ suite checks every date of one full 400-year Gregorian cycle; the assembly
 depends on the year only through its value mod 400, so that is a proof for
 every Gregorian date.
 
-`dow(..., with_trace=False)` is the value path: a few table lookups, plain
-`% 7` and one cached year share, and no step objects.  The traced call runs
-no separate weekday formula: it emits the assembly's steps and takes the
-weekday from the last step's result.  `DowResult` is an immutable NamedTuple.
+`dow(..., with_trace=False)` is the value path.  It reads the year's
+doomsday, `(century anchor + residue) % 7`, from a 400-entry table per
+method function indexed by `year % 400`, and the month's anchor date from
+one shared 400-entry table, then applies one weekday formula,
+`(doomsday + day - anchor date) % 7`, for both pipelines.  The
+First-Sunday assembly `day - ((anchor date - doomsday) % 7 or 7)` is
+congruent to it mod 7, because `s or 7` is congruent to `s`, so the
+pipeline matters only to the trace.  A doomsday entry is filled on first
+use from the method's cached residue, so the method still enters the value
+path only through `residue`.  The traced call runs no separate weekday
+formula: it emits the assembly's steps and takes the weekday from the last
+step's result.  `DowResult` is an immutable NamedTuple.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arith import SignConvention
-from .dates import CivilDate, Weekday, is_leap
+from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _cached_eval, get_method
 from .trace import Step, StepKind, StepTrace
 
@@ -57,13 +65,20 @@ def century_anchor(century: int) -> int:
     return (5 * (century % 4) + 2) % 7
 
 
-# Value-path tables, built once from the functions above.  The century
-# anchor repeats every four centuries; month anchor dates are indexed
-# [is_leap(year)][month], with index 0 unused.
-_WEEKDAYS = tuple(Weekday)
+# Tables built once from the functions above.  The century anchor repeats
+# every four centuries; month anchor dates are indexed [is_leap(year)][month],
+# with index 0 unused, and _MONTH_ANCHOR_ROWS picks the row by year % 400.
 _CENTURY_ANCHORS = tuple(century_anchor(c) for c in range(4))
 _MONTH_ANCHORS = tuple((0, *(month_anchor_date(m, leap) for m in range(1, 13))) for leap in (False, True))
-_DOOMSDAY = PipelineId.DOOMSDAY
+_MONTH_ANCHOR_ROWS = tuple(_MONTH_ANCHORS[is_leap(y4)] for y4 in range(400))
+
+# Method function -> its year doomsdays by year % 400, None until first used.
+# Keyed on the function object, as _cached_eval is, so a swapped registry
+# entry gets a fresh table.  Filling lazily keeps a first sweep from paying
+# 1,400 cold evaluations.  The oldest table is dropped to stay within the
+# bound, as _cached_eval's maxsize bounds it.
+_DOOMSDAYS: dict = {}
+_MAX_DOOMSDAY_TABLES = 64
 
 
 class DowResult(NamedTuple):
@@ -98,20 +113,28 @@ def dow(
             f"{date} precedes the Gregorian calendar ({GREGORIAN_START_YEAR}); "
             "pass proleptic=True to compute anyway"
         )
-    century, y = divmod(year, 100)
-    share = _cached_eval(desc.func, y)  # y from divmod is always in [0, 99]
-    anchor = _CENTURY_ANCHORS[century % 4]
-    dd = _MONTH_ANCHORS[is_leap(year)][date.month]
-
     if with_trace:
-        trace = _build_trace(date, share, pipeline is _DOOMSDAY, anchor, dd)
+        century, y = divmod(year, 100)
+        share = _cached_eval(desc.func, y)  # y from divmod is always in [0, 99]
+        anchor = _CENTURY_ANCHORS[century % 4]
+        dd = _MONTH_ANCHORS[is_leap(year)][date.month]
+        trace = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, anchor, dd)
         return DowResult(date, _WEEKDAYS[trace.steps[-1].result], method_id, pipeline, trace)
-    if pipeline is _DOOMSDAY:
-        weekday = _WEEKDAYS[(anchor + share.residue + date.day - dd) % 7]
-    else:
-        s = (dd - anchor - share.residue) % 7  # first Sunday, 0 standing for 7
-        weekday = _WEEKDAYS[(date.day - (s or 7)) % 7]
-    return DowResult(date, weekday, method_id, pipeline)
+
+    func = desc.func
+    table = _DOOMSDAYS.get(func)
+    if table is None:
+        if len(_DOOMSDAYS) >= _MAX_DOOMSDAY_TABLES:
+            _DOOMSDAYS.pop(next(iter(_DOOMSDAYS)), None)  # the oldest table
+        table = _DOOMSDAYS[func] = [None] * 400
+    y4 = year % 400
+    doomsday = table[y4]
+    if doomsday is None:
+        doomsday = table[y4] = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
+    weekday = _WEEKDAYS[(doomsday + date.day - _MONTH_ANCHOR_ROWS[y4][date.month]) % 7]
+    # tuple.__new__ is what DowResult._make does underneath: it skips the
+    # NamedTuple's Python-level __new__, about half the cost of the result.
+    return tuple.__new__(DowResult, (date, weekday, method_id, pipeline, None))
 
 
 def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -> StepTrace:

@@ -181,8 +181,9 @@ DEFAULT_COST_MODEL = CostModel()
 def load_cost_model(path: str) -> CostModel:
     """Read a cost model from a JSON file: {"name": ..., "weights": {kind: int}}.
 
-    Every way the file can be wrong (unreadable, not JSON, not an object,
-    unknown kind, a weight that is not a nonnegative int) raises ValueError.
+    Every way the file can be wrong (unreadable, not JSON, nested too deeply
+    to decode, not an object, unknown kind, a weight that is not a
+    nonnegative int) raises ValueError.
     Kinds and weights are checked by CostModel; its message gains the path.
     """
     try:
@@ -192,6 +193,8 @@ def load_cost_model(path: str) -> CostModel:
         raise ValueError(f"cannot read cost model {path!r}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ValueError(f"cost model {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError(f"cost model {path!r}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError(f"cost model {path!r} must be a JSON object, got {type(data).__name__}")
     given = data.get("weights", {})

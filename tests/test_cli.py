@@ -190,6 +190,25 @@ def test_derive_out_of_range_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--year", "７", "--method", "odd11"),  # full-width 7
+        ("compute", "--year", "1_0", "--method", "odd11"),
+        ("derive", "--divisor", "١١", "--sign", "pos"),  # Arabic-Indic 11
+        ("derive", "--divisor", "1" * 5000, "--sign", "pos"),  # past int()'s digit limit
+    ],
+    ids=["full-width", "underscore", "arabic-indic", "too-many-digits"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"error: argument {argv[1]}: invalid int value: {argv[2]!r}")
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--method", "div12", "--format", "csv")
     assert code == 0
@@ -264,8 +283,9 @@ def test_cost_missing_model_exits_2(capsys, tmp_path):
         ('{"weights": {"halve": "2"}}', "weight for 'halve' must be an integer, got '2'"),
         ('{"weights": {"halve": -1}}', "negative weight for halve"),
         ('{"weights": {"guess": 1}}', "'guess' is not a valid StepKind"),
+        ("[" * 100_000, "': JSON nested too deeply to read"),
     ],
-    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind"],
+    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind", "deep"],
 )
 def test_cost_bad_model_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "model.json"

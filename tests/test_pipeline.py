@@ -1,7 +1,11 @@
+import dataclasses
 import datetime
+from functools import partial
 
 import pytest
 
+from ydow import pipeline
+from ydow.arith import normalize
 from ydow.dates import CivilDate, Weekday, daycount_weekday, is_leap, month_length
 from ydow.pipeline import (
     CalendarPolicyError,
@@ -11,7 +15,7 @@ from ydow.pipeline import (
     dow,
     month_anchor_date,
 )
-from ydow.registry import UnknownMethodError, method_ids
+from ydow.registry import METHODS, UnknownMethodError, method_ids
 from ydow.trace import StepKind
 
 SAMPLE_DATES = [
@@ -109,9 +113,15 @@ def test_traced_weekday_is_the_value_path_weekday():
 
 
 def test_dow_without_trace():
-    res = dow(CivilDate(2023, 6, 15), "odd11", PipelineId.DOOMSDAY, with_trace=False)
-    assert res.trace is None
-    assert res.weekday == daycount_weekday(CivilDate(2023, 6, 15))
+    # the value path builds its result without DowResult's own __new__:
+    # it must still be exactly a DowResult, with the NamedTuple's fields
+    for pl in PipelineId:
+        res = dow(CivilDate(2023, 6, 15), "odd11", pl, with_trace=False)
+        assert type(res) is DowResult
+        assert res._fields == ("date", "weekday", "method_id", "pipeline", "trace")
+        assert res.trace is None
+        assert res.weekday is daycount_weekday(CivilDate(2023, 6, 15))
+        assert res == DowResult(CivilDate(2023, 6, 15), res.weekday, "odd11", pl)
 
 
 def test_pipeline_accepts_string_ids():
@@ -157,6 +167,8 @@ def test_dow_result_is_immutable():
     res = dow(CivilDate(2000, 1, 1), "odd11", PipelineId.DOOMSDAY, with_trace=False)
     with pytest.raises(AttributeError):
         res.weekday = Weekday.SUNDAY
+    with pytest.raises(TypeError):
+        res[1] = Weekday.SUNDAY
 
 
 def test_unknown_pipeline_rejected():
@@ -183,13 +195,77 @@ def test_dow_over_a_full_400_year_cycle(gregorian_cycle):
 
     Gregorian weekdays repeat every 400 years (146,097 days, exactly 20,871
     weeks), and the assembly reads the year only through year mod 400: the
-    century mod 4, the two-digit year and the leap flag.  The value path
-    uses a method only through `share.residue`, and acceptance criterion 1
-    proves `residue == year_share(y)` for every method and year.  So one
-    method of each sign convention over one full cycle covers every method
-    x pipeline for all Gregorian dates.
+    value path indexes its doomsday and month-anchor tables by it.  A
+    method enters the value path only through the residue that fills its
+    doomsday entry, `(century anchor + residue) % 7`, and acceptance
+    criterion 1 proves `residue == year_share(y)` for every method and
+    year.  So one method of each sign convention over one full cycle covers
+    every method x pipeline for all Gregorian dates.
     """
     for mid in ("odd11", "fong"):
         for pl in PipelineId:
             for cd, want in gregorian_cycle:
                 assert dow(cd, mid, pl, with_trace=False).weekday == want, (cd, mid, pl)
+
+
+def test_value_path_over_every_year_of_the_doomsday_tables():
+    """Every method and pipeline, every year 2000-2399 (each year % 400 the
+    tables are indexed by), every month, on its first and last day."""
+    dates = [
+        CivilDate(year, month, day)
+        for year in range(2000, 2400)
+        for month in range(1, 13)
+        for day in (1, month_length(year, month))
+    ]
+    wants = [daycount_weekday(cd) for cd in dates]
+    for mid in method_ids():
+        for pl in PipelineId:
+            for cd, want in zip(dates, wants):
+                assert dow(cd, mid, pl, with_trace=False).weekday is want, (cd, mid, pl)
+
+
+def _off_by_one_at(func, bad_y, y):
+    """func's share, except one more than it (mod 7) for y == bad_y."""
+    share = func(y)
+    if y != bad_y:
+        return share
+    return normalize(share.raw + 1, share.convention, share.trace)
+
+
+def test_swapped_method_gets_its_own_doomsday_table(monkeypatch):
+    # one Jan 1 per year of a full cycle, answered before, during and after
+    # a registry entry with a wrong residue for y = 37 only is installed
+    dates = [CivilDate(year, 1, 1) for year in range(2000, 2400)]
+    desc = METHODS["div11"]
+
+    def answers():
+        return [dow(cd, "div11", pl, with_trace=False).weekday for cd in dates for pl in PipelineId]
+
+    before = answers()
+    with monkeypatch.context() as m:
+        m.setitem(METHODS, "div11", dataclasses.replace(desc, func=partial(_off_by_one_at, desc.func, 37)))
+        during = answers()
+    after = answers()
+
+    assert after == before
+    for i, (was, now) in enumerate(zip(before, during)):
+        cd = dates[i // len(PipelineId)]
+        if cd.year % 100 == 37:
+            assert now == (was + 1) % 7, cd
+        else:
+            assert now == was, cd
+
+
+def test_doomsday_tables_stay_bounded(monkeypatch):
+    bound = pipeline._MAX_DOOMSDAY_TABLES
+    desc = METHODS["odd11"]
+    cd = CivilDate(2023, 6, 15)
+    want = daycount_weekday(cd)
+    for _ in range(bound + 5):
+        # a new function object each time, as a caller swapping entries makes
+        monkeypatch.setitem(METHODS, "odd11", dataclasses.replace(desc, func=partial(desc.func)))
+        assert dow(cd, "odd11", with_trace=False).weekday is want
+        assert len(pipeline._DOOMSDAYS) <= bound
+    monkeypatch.undo()
+    for mid in method_ids():
+        assert dow(cd, mid, with_trace=False).weekday is want
