@@ -131,15 +131,9 @@ class AnchorConfig:
 DEFAULT_ANCHOR = AnchorConfig(CivilDate(2000, 1, 1), Weekday.SATURDAY)
 
 _WEEKDAYS = tuple(Weekday)  # weekday number -> Weekday, without the enum call
-# Both classes are frozen, so the default anchor's ordinal is fixed: count
-# from it once, not on every call.
-_DEFAULT_ORDINAL = DEFAULT_ANCHOR.reference_date.to_ordinal()
 
 
 def daycount_weekday(date: CivilDate, anchor: AnchorConfig = DEFAULT_ANCHOR) -> Weekday:
     """Weekday by pure day counting from the anchor; no weekday formulas."""
-    if anchor is DEFAULT_ANCHOR:
-        delta = date.to_ordinal() - _DEFAULT_ORDINAL
-    else:
-        delta = date.to_ordinal() - anchor.reference_date.to_ordinal()
+    delta = date.to_ordinal() - anchor.reference_date.to_ordinal()
     return _WEEKDAYS[(anchor.reference_weekday + delta) % 7]

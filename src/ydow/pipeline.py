@@ -76,7 +76,8 @@ _MONTH_ANCHOR_ROWS = tuple(_MONTH_ANCHORS[is_leap(y4)] for y4 in range(400))
 # Keyed on the function object, as _cached_eval is, so a swapped registry
 # entry gets a fresh table.  Filling lazily keeps a first sweep from paying
 # 1,400 cold evaluations.  The oldest table is dropped to stay within the
-# bound, as _cached_eval's maxsize bounds it.
+# bound, as _cached_eval's maxsize bounds it.  A plain dict, not an
+# lru_cache around the table, because dict.get is the cheaper hit.
 _DOOMSDAYS: dict = {}
 _MAX_DOOMSDAY_TABLES = 64
 

@@ -208,22 +208,6 @@ def test_dow_over_a_full_400_year_cycle(gregorian_cycle):
                 assert dow(cd, mid, pl, with_trace=False).weekday == want, (cd, mid, pl)
 
 
-def test_value_path_over_every_year_of_the_doomsday_tables():
-    """Every method and pipeline, every year 2000-2399 (each year % 400 the
-    tables are indexed by), every month, on its first and last day."""
-    dates = [
-        CivilDate(year, month, day)
-        for year in range(2000, 2400)
-        for month in range(1, 13)
-        for day in (1, month_length(year, month))
-    ]
-    wants = [daycount_weekday(cd) for cd in dates]
-    for mid in method_ids():
-        for pl in PipelineId:
-            for cd, want in zip(dates, wants):
-                assert dow(cd, mid, pl, with_trace=False).weekday is want, (cd, mid, pl)
-
-
 def _off_by_one_at(func, bad_y, y):
     """func's share, except one more than it (mod 7) for y == bad_y."""
     share = func(y)
