@@ -1,0 +1,66 @@
+"""Immutable slotted records, and the bounded echo of values in error messages.
+
+`Record` gives ydow's record types what a frozen dataclass gave them, without
+importing `dataclasses` or paying for its class creation at import time.  A
+subclass lists its fields in `__slots__` and stores them from its own
+`__init__` with `object.__setattr__`; the base derives from `__slots__`:
+
+- the dataclass repr, `Name(field=value, ...)`;
+- `==` only between instances of the same class, over the field tuple;
+- `hash` of the field tuple;
+- assignment and deletion raising FrozenInstanceError;
+- `__reduce__`, so `copy.copy` and `pickle` rebuild through `__init__`;
+- `_replace(**changes)`, a copy with some fields changed.
+"""
+
+from __future__ import annotations
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of an immutable record."""
+
+
+class Record:
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def _replace(self, **changes):
+        fields = dict(zip(self.__slots__, self._astuple()))
+        fields.update(changes)
+        return self.__class__(**fields)
+
+
+# The longest repr of a user's value that an error message repeats.
+ECHO_LIMIT = 100
+
+
+def echo(value: object) -> str:
+    """repr(value) for an error message, cut after ECHO_LIMIT characters."""
+    try:
+        text = repr(value)
+    except (RecursionError, ValueError):  # nested too deeply, or an int past str()'s digit limit
+        return f"<{value.__class__.__name__} too large to show>"
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."

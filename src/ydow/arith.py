@@ -15,6 +15,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import echo
+
 if TYPE_CHECKING:
     from .trace import StepTrace
 
@@ -35,7 +37,7 @@ def floor_div(p: int, q: int) -> int:
     -1
     """
     if q <= 0:
-        raise ValueError(f"divisor must be positive, got {q}")
+        raise ValueError(f"divisor must be positive, got {echo(q)}")
     return p // q
 
 
@@ -54,9 +56,9 @@ def check_year2(y: int) -> int:
     """Validate a two-digit year value.  Out-of-range input is an error,
     never silently wrapped mod 100."""
     if not isinstance(y, int) or isinstance(y, bool):
-        raise ValueError(f"two-digit year must be an integer, got {y!r}")
+        raise ValueError(f"two-digit year must be an integer, got {echo(y)}")
     if not 0 <= y <= 99:
-        raise ValueError(f"two-digit year must be in [0, 99], got {y}")
+        raise ValueError(f"two-digit year must be in [0, 99], got {echo(y)}")
     return y
 
 

@@ -1,15 +1,21 @@
 """Civil dates, ISO parsing, and the day-count weekday oracle.
 
-Proleptic Gregorian throughout.  The oracle never touches weekday formulas:
-it counts exact days from a single anchored date, so it can sit in judgment
-over every formula-based pipeline in the package.
+Proleptic Gregorian throughout, years 1 to 9999 as in `datetime`.  The
+oracle never touches weekday formulas: it counts exact days from a single
+anchored date, so it can sit in judgment over every formula-based pipeline
+in the package.
+
+`CivilDate` and `AnchorConfig` are immutable records (see `_record`): they
+compare equal only to their own class, hash by their fields, and copy
+through `_replace`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
+
+from ._record import Record, echo
 
 
 class DateParseError(ValueError):
@@ -58,22 +64,24 @@ def month_length(year: int, month: int) -> int:
     return _MONTH_DAYS[month - 1]
 
 
-@dataclass(frozen=True)
-class CivilDate:
-    year: int
-    month: int
-    day: int
+MAXYEAR = 9999  # datetime.MAXYEAR: the last year that str() writes in four digits
 
-    def __post_init__(self):
-        if self.year < 1:
-            raise DateValidationError(f"year must be >= 1, got {self.year}")
-        if not 1 <= self.month <= 12:
-            raise DateValidationError(f"month must be in [1, 12], got {self.month}")
-        limit = month_length(self.year, self.month)
-        if not 1 <= self.day <= limit:
-            raise DateValidationError(
-                f"day must be in [1, {limit}] for {self.year:04d}-{self.month:02d}, got {self.day}"
-            )
+
+class CivilDate(Record):
+    __slots__ = ("year", "month", "day")
+
+    def __init__(self, year: int, month: int, day: int):
+        if not 1 <= year <= MAXYEAR:
+            bound = ">= 1" if year < 1 else f"<= {MAXYEAR}"
+            raise DateValidationError(f"year must be {bound}, got {echo(year)}")
+        if not 1 <= month <= 12:
+            raise DateValidationError(f"month must be in [1, 12], got {echo(month)}")
+        limit = month_length(year, month)
+        if not 1 <= day <= limit:
+            raise DateValidationError(f"day must be in [1, {limit}] for {year:04d}-{month:02d}, got {echo(day)}")
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "month", month)
+        object.__setattr__(self, "day", day)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
@@ -111,20 +119,22 @@ def parse_date(text: str) -> CivilDate:
         template = "dddd-dd-dd"
         for i, want in enumerate(template):
             if i >= len(text):
-                raise DateParseError(f"expected YYYY-MM-DD, input too short: {text!r}", i)
+                raise DateParseError(f"expected YYYY-MM-DD, input too short: {echo(text)}", i)
             ch = text[i]
             if want == "d" and ch not in "0123456789":
                 raise DateParseError(f"expected a digit, got {ch!r}", i)
             if want == "-" and ch != "-":
                 raise DateParseError(f"expected '-', got {ch!r}", i)
-        raise DateParseError(f"expected YYYY-MM-DD, trailing input: {text!r}", len(template))
+        raise DateParseError(f"expected YYYY-MM-DD, trailing input: {echo(text)}", len(template))
     return CivilDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-@dataclass(frozen=True)
-class AnchorConfig:
-    reference_date: CivilDate
-    reference_weekday: Weekday
+class AnchorConfig(Record):
+    __slots__ = ("reference_date", "reference_weekday")
+
+    def __init__(self, reference_date: CivilDate, reference_weekday: Weekday):
+        object.__setattr__(self, "reference_date", reference_date)
+        object.__setattr__(self, "reference_weekday", reference_weekday)
 
 
 # 2000-01-01 was a Saturday; everything else is counted from there.

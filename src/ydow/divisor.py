@@ -19,8 +19,7 @@ so `cost --model` with a `halve` weight would report a different cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, echo
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import Step, StepKind, StepTrace
 
@@ -29,28 +28,30 @@ class NotRepresentableError(ValueError):
     """No formula with a small inner coefficient exists for this divisor."""
 
 
-@dataclass(frozen=True)
-class DivisorSpec:
-    """Coefficient record for one divisor formula.
+class DivisorSpec(Record):
+    """Coefficient record for one divisor formula, immutable (see `_record`).
 
     Value at y = d*q + r is coef_q*q + coef_r*r +
     coef_floor * floor((inner_q*q + inner_r*r) / 4), interpreted under the
     spec's sign convention.
     """
 
-    d: int
-    convention: SignConvention
-    coef_q: int
-    coef_r: int
-    coef_floor: int
-    inner_q: int
-    inner_r: int
+    __slots__ = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"divisor must be >= 2, got {self.d}")
-        if self.coef_floor not in (-1, 0, 1):
-            raise ValueError(f"floor coefficient must be -1, 0 or 1, got {self.coef_floor}")
+    def __init__(
+        self, d: int, convention: SignConvention, coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int
+    ):
+        if d < 2:
+            raise ValueError(f"divisor must be >= 2, got {echo(d)}")
+        if coef_floor not in (-1, 0, 1):
+            raise ValueError(f"floor coefficient must be -1, 0 or 1, got {echo(coef_floor)}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "coef_q", coef_q)
+        object.__setattr__(self, "coef_r", coef_r)
+        object.__setattr__(self, "coef_floor", coef_floor)
+        object.__setattr__(self, "inner_q", inner_q)
+        object.__setattr__(self, "inner_r", inner_r)
 
     def value(self, y: int) -> int:
         q, r = divmod_split(y, self.d)
@@ -114,7 +115,7 @@ BUILTIN_DIVISOR_SPECS: dict[int, DivisorSpec] = {
 def divmod_split(y: int, d: int) -> tuple[int, int]:
     """Quotient and remainder of y by d with 0 <= r < d."""
     if d < 2:
-        raise ValueError(f"divisor must be >= 2, got {d}")
+        raise ValueError(f"divisor must be >= 2, got {echo(d)}")
     check_year2(y)
     return y // d, y % d
 
@@ -211,7 +212,7 @@ def derive_divisor_formula(d: int, convention: SignConvention) -> DivisorSpec:
     negative-share spec is the termwise negation of the positive one.
     """
     if not 2 <= d <= 28:
-        raise ValueError(f"divisor must be in [2, 28], got {d}")
+        raise ValueError(f"divisor must be in [2, 28], got {echo(d)}")
     target = (5 * d) % 28
     candidates = []
     for b in (-1, 0, 1):

@@ -31,6 +31,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from ._record import echo
 from .arith import SignConvention
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _cached_eval, get_method
@@ -107,7 +108,10 @@ def dow(
     """
     desc = get_method(method_id)  # fail fast on unknown ids
     if pipeline.__class__ is not PipelineId:
-        pipeline = PipelineId(pipeline)
+        try:
+            pipeline = PipelineId(pipeline)
+        except ValueError:
+            raise ValueError(f"{echo(pipeline)} is not a valid PipelineId") from None
     year = date.year
     if year < GREGORIAN_START_YEAR and not proleptic:
         raise CalendarPolicyError(

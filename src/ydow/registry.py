@@ -7,17 +7,21 @@ the change.  Everything downstream (CLI, verification, cost reports, the
 day-of-week pipeline) finds methods through it and reads results through
 one cache keyed on the method's function, so a method is fully described by
 one descriptor plus one function returning a ShareResult.
+
+The descriptor and the report rows (`VerificationFailure`,
+`VerificationReport`, `CostReportRow`) are immutable records (see
+`_record`): each compares equal only to its own class, hashes by its fields
+and copies through `_replace`.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable
 
 from . import digits, divisor, special
+from ._record import Record, echo
 from .arith import ShareResult, SignConvention, check_year2, year_share
 from .trace import DEFAULT_COST_MODEL, CostModel
 
@@ -32,14 +36,24 @@ class MethodCategory(str, Enum):
     DIGIT = "digit"
 
 
-@dataclass(frozen=True)
-class MethodDescriptor:
-    id: str
-    display_name: str
-    category: MethodCategory
-    convention: SignConvention
-    citation: str
-    func: Callable[[int], ShareResult]
+class MethodDescriptor(Record):
+    __slots__ = ("id", "display_name", "category", "convention", "citation", "func")
+
+    def __init__(
+        self,
+        id: str,
+        display_name: str,
+        category: MethodCategory,
+        convention: SignConvention,
+        citation: str,
+        func: Callable[[int], ShareResult],
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "display_name", display_name)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "func", func)
 
 
 def _build_registry() -> dict[str, MethodDescriptor]:
@@ -98,7 +112,7 @@ def get_method(method_id: str) -> MethodDescriptor:
         return METHODS[method_id]
     except KeyError:
         known = ", ".join(METHODS)
-        raise UnknownMethodError(f"unknown method {method_id!r} (known: {known})") from None
+        raise UnknownMethodError(f"unknown method {echo(method_id)} (known: {known})") from None
 
 
 @lru_cache(maxsize=8192)
@@ -116,21 +130,25 @@ def evaluate(method_id: str, y: int) -> ShareResult:
     return _cached_eval(desc.func, y)
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
-    y: int
-    expected: int
-    got: int
+class VerificationFailure(Record):
+    __slots__ = ("y", "expected", "got")
+
+    def __init__(self, y: int, expected: int, got: int):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
 
     def to_json_dict(self) -> dict:
         return {"y": self.y, "expected": self.expected, "got": self.got}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    method_id: str
-    total: int
-    failures: tuple[VerificationFailure, ...]
+class VerificationReport(Record):
+    __slots__ = ("method_id", "total", "failures")
+
+    def __init__(self, method_id: str, total: int, failures: tuple[VerificationFailure, ...]):
+        object.__setattr__(self, "method_id", method_id)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -165,13 +183,15 @@ def verify_all() -> list[VerificationReport]:
     return [verify_method(mid) for mid in METHODS]
 
 
-@dataclass(frozen=True)
-class CostReportRow:
-    method_id: str
-    min_cost: int
-    max_cost: int
-    mean_cost: float
-    max_magnitude: int
+class CostReportRow(Record):
+    __slots__ = ("method_id", "min_cost", "max_cost", "mean_cost", "max_magnitude")
+
+    def __init__(self, method_id: str, min_cost: int, max_cost: int, mean_cost: float, max_magnitude: int):
+        object.__setattr__(self, "method_id", method_id)
+        object.__setattr__(self, "min_cost", min_cost)
+        object.__setattr__(self, "max_cost", max_cost)
+        object.__setattr__(self, "mean_cost", mean_cost)
+        object.__setattr__(self, "max_magnitude", max_magnitude)
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,7 +225,7 @@ def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MO
                 method_id=mid,
                 min_cost=min(costs),
                 max_cost=max(costs),
-                mean_cost=statistics.fmean(costs),
+                mean_cost=sum(costs) / len(costs),  # what statistics.fmean gives for ints
                 max_magnitude=magnitude,
             )
         )

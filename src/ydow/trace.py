@@ -6,19 +6,21 @@ example, replayed to re-derive the result, and priced under a cost model.
 
 A `Step` is an immutable `typing.NamedTuple`, so it is cheap to build and
 walk.  Like any tuple it compares equal to a plain tuple holding the same
-four fields.  `StepTrace` stays a dataclass wrapping a tuple of steps: its
-length and iteration are the steps', which a tuple base would conflict with.
+four fields.  `StepTrace` is an immutable record (see `_record`) wrapping a
+tuple of steps: its length and iteration are the steps', which a tuple base
+would conflict with, and it compares equal only to another `StepTrace`.
+`CostModel` is a record too.  `json` is imported by `load_cost_model`, the
+one place that reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
-import json
 
+from ._record import Record, echo
 from .arith import floor_div
 
 
@@ -66,9 +68,11 @@ _RULES = {
 _PARITY_TEST = StepKind.PARITY_TEST
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    steps: tuple[Step, ...] = ()
+class StepTrace(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[Step, ...] = ()):
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -86,7 +90,7 @@ class StepTrace:
         final = None
         for i, (kind, _, operands, result) in enumerate(self.steps):
             if kind.__class__ is not StepKind:
-                raise TraceReplayError(f"unknown step kind {kind!r}")
+                raise TraceReplayError(f"unknown step kind {echo(kind)}")
             got = _RULES[kind](operands)
             if got != result:
                 raise TraceReplayError(
@@ -142,8 +146,7 @@ DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Weights one unit of mental effort per step kind.
 
     Every key must name a StepKind (a member or its value) and every weight
@@ -153,19 +156,29 @@ class CostModel:
     models hash equal; the hash reads the name only.
     """
 
-    name: str = "default"
-    weights: Mapping[StepKind, int] = field(default_factory=lambda: DEFAULT_WEIGHTS, hash=False)
+    __slots__ = ("name", "weights")
 
-    def __post_init__(self):
-        weights = {}
-        for key, w in self.weights.items():
-            kind = StepKind(key)
+    def __init__(self, name: str = "default", weights: Mapping[StepKind, int] = DEFAULT_WEIGHTS):
+        checked = {}
+        for key, w in weights.items():
+            try:
+                kind = StepKind(key)
+            except ValueError:
+                raise ValueError(f"{echo(key)} is not a valid StepKind") from None
             if not isinstance(w, int) or isinstance(w, bool):
-                raise ValueError(f"weight for {kind.value!r} must be an integer, got {w!r}")
+                raise ValueError(f"weight for {kind.value!r} must be an integer, got {echo(w)}")
             if w < 0:
-                raise ValueError(f"negative weight for {kind.value}: {w}")
-            weights[kind] = w
-        object.__setattr__(self, "weights", MappingProxyType(weights))
+                raise ValueError(f"negative weight for {kind.value}: {echo(w)}")
+            checked[kind] = w
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weights", MappingProxyType(checked))
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the dict it wraps does.
+        return CostModel, (self.name, dict(self.weights))
 
     def cost(self, trace: StepTrace) -> int:
         get = self.weights.get
@@ -186,21 +199,24 @@ def load_cost_model(path: str) -> CostModel:
     nonnegative int) raises ValueError.
     Kinds and weights are checked by CostModel; its message gains the path.
     """
+    import json  # here, not at the top: nothing else in `import ydow` reads JSON
+
+    shown = echo(path)
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except OSError as exc:
-        raise ValueError(f"cannot read cost model {path!r}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read cost model {shown}: {exc.strerror or exc}") from None
     except ValueError as exc:
-        raise ValueError(f"cost model {path!r} is not valid JSON: {exc}") from None
+        raise ValueError(f"cost model {shown} is not valid JSON: {exc}") from None
     except RecursionError:  # json's decoder recurses once per nesting level
-        raise ValueError(f"cost model {path!r}: JSON nested too deeply to read") from None
+        raise ValueError(f"cost model {shown}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
-        raise ValueError(f"cost model {path!r} must be a JSON object, got {type(data).__name__}")
+        raise ValueError(f"cost model {shown} must be a JSON object, got {type(data).__name__}")
     given = data.get("weights", {})
     if not isinstance(given, dict):
-        raise ValueError(f"cost model {path!r}: weights must be an object, got {type(given).__name__}")
+        raise ValueError(f"cost model {shown}: weights must be an object, got {type(given).__name__}")
     try:
         return CostModel(name=str(data.get("name", path)), weights={**DEFAULT_WEIGHTS, **given})
     except ValueError as exc:
-        raise ValueError(f"cost model {path!r}: {exc}") from None
+        raise ValueError(f"cost model {shown}: {exc}") from None

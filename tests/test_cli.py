@@ -3,12 +3,17 @@ import datetime
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ydow
+from ydow._record import ECHO_LIMIT
 from ydow.arith import SignConvention, normalize
 from ydow.cli import main
 from ydow.dates import CivilDate
@@ -23,6 +28,9 @@ from ydow.registry import (
     verify_method,
 )
 from ydow.trace import DEFAULT_COST_MODEL, DEFAULT_WEIGHTS, CostModel, Step, StepKind, StepTrace
+
+
+SRC = str(Path(ydow.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -294,6 +302,71 @@ def test_cost_bad_model_exits_2(capsys, tmp_path, content, message):
     assert code == 2
     assert out == ""
     assert message in _one_error_line(err)
+
+
+# Every user value an error message repeats goes through ydow._record.echo,
+# which cuts it after ECHO_LIMIT characters, so no error line grows with
+# its input.
+ERROR_LINE_CAP = 3 * ECHO_LIMIT
+
+
+def _capped_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    line = _one_error_line(err)
+    assert len(line) <= ERROR_LINE_CAP, len(line)
+    return line
+
+
+def test_trailing_date_input_is_capped(capsys):
+    line = _capped_error_line(*run(capsys, "dow", "--date", "2000-01-01" + "x" * 2000))
+    assert line.startswith("error: expected YYYY-MM-DD, trailing input: '2000-01-01xxx")
+    assert line.endswith("xxx... (at position 10)")
+
+
+def test_unknown_weight_key_is_capped(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": {"k" * 5000: 1}}))
+    line = _capped_error_line(*run(capsys, "cost", "--all", "--model", str(path), "--format", "csv"))
+    assert line.endswith("kkk... is not a valid StepKind")
+
+
+def test_deeply_nested_weight_is_capped(tmp_path):
+    # A fresh process, as a user runs it: the list must be shallow enough for
+    # json to decode it from a short stack, so the weight's repr is what fails.
+    path = tmp_path / "model.json"
+    path.write_text('{"weights": {"halve": ' + "[" * 950 + "]" * 950 + "}}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ydow.cli", "cost", "--all", "--model", str(path), "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+    )
+    line = _capped_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "weight for 'halve' must be an integer, got [[[[" in line
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compute", "--year", "9" * 4000, "--method", "odd11"), "two-digit year must be in [0, 99], got 999"),
+        (("derive", "--divisor", "9" * 4000, "--sign", "pos"), "divisor must be in [2, 28], got 999"),
+    ],
+    ids=["year", "divisor"],
+)
+def test_long_integer_options_are_capped(capsys, argv, message):
+    assert message in _capped_error_line(*run(capsys, *argv))
+
+
+@given(st.text())
+def test_any_date_text_answers_or_fails_in_one_capped_line(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dow", f"--date={text}"])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        _capped_error_line(code, out.getvalue(), err.getvalue())
 
 
 def test_dow_text(capsys):

@@ -136,6 +136,19 @@ def test_civil_date_validation():
     CivilDate(2024, 2, 29)  # fine
 
 
+def test_years_stop_at_9999():
+    # str() writes four digits, which is all parse_date and datetime take
+    assert str(CivilDate(9999, 12, 31)) == "9999-12-31"
+    with pytest.raises(DateValidationError, match=r"^year must be <= 9999, got 10000$"):
+        CivilDate(10000, 1, 1)
+    with pytest.raises(DateValidationError, match=r"^year must be >= 1, got 0$"):
+        CivilDate(0, 1, 1)
+    with pytest.raises(DateValidationError, match=r"got 999\d+\.\.\.$"):
+        CivilDate(10**4000 - 1, 1, 1)  # echoed cut
+    with pytest.raises(DateValidationError, match=r"got <int too large to show>$"):
+        CivilDate(10**5000, 1, 1)  # past str()'s digit limit
+
+
 @pytest.mark.parametrize("text", ["２０００-01-01", "²000-01-01", "٢٠٠٠-01-01"])
 def test_parse_rejects_non_ascii_digits(text):
     with pytest.raises(DateParseError, match="expected a digit") as e:
@@ -171,3 +184,15 @@ def test_parse_round_trips_every_iso_date(d):
     cd = parse_date(d.isoformat())
     assert (cd.year, cd.month, cd.day) == (d.year, d.month, d.day)
     assert str(cd) == d.isoformat()
+
+
+@given(st.integers(-2, 12_000), st.integers(-1, 14), st.integers(-1, 33))
+def test_every_accepted_date_round_trips_through_its_text(y, m, d):
+    valid = 1 <= y <= 9999 and 1 <= m <= 12 and 1 <= d <= month_length(y, m)
+    try:
+        cd = CivilDate(y, m, d)
+    except DateValidationError:
+        assert not valid
+        return
+    assert valid
+    assert parse_date(str(cd)) == cd

@@ -1,10 +1,10 @@
-import dataclasses
 import datetime
 from functools import partial
 
 import pytest
 
 from ydow import pipeline
+from ydow._record import ECHO_LIMIT
 from ydow.arith import normalize
 from ydow.dates import CivilDate, Weekday, daycount_weekday, is_leap, month_length
 from ydow.pipeline import (
@@ -227,7 +227,7 @@ def test_swapped_method_gets_its_own_doomsday_table(monkeypatch):
 
     before = answers()
     with monkeypatch.context() as m:
-        m.setitem(METHODS, "div11", dataclasses.replace(desc, func=partial(_off_by_one_at, desc.func, 37)))
+        m.setitem(METHODS, "div11", desc._replace(func=partial(_off_by_one_at, desc.func, 37)))
         during = answers()
     after = answers()
 
@@ -247,9 +247,22 @@ def test_doomsday_tables_stay_bounded(monkeypatch):
     want = daycount_weekday(cd)
     for _ in range(bound + 5):
         # a new function object each time, as a caller swapping entries makes
-        monkeypatch.setitem(METHODS, "odd11", dataclasses.replace(desc, func=partial(desc.func)))
+        monkeypatch.setitem(METHODS, "odd11", desc._replace(func=partial(desc.func)))
         assert dow(cd, "odd11", with_trace=False).weekday is want
         assert len(pipeline._DOOMSDAYS) <= bound
     monkeypatch.undo()
     for mid in method_ids():
         assert dow(cd, mid, with_trace=False).weekday is want
+
+
+@pytest.mark.parametrize(
+    "method_id, pipeline_id, message",
+    [("x" * 100_000, PipelineId.DOOMSDAY, "unknown method 'xxx"), ("odd11", "y" * 100_000, "'yyy")],
+    ids=["method", "pipeline"],
+)
+def test_unknown_ids_are_echoed_capped(method_id, pipeline_id, message):
+    with pytest.raises(ValueError) as e:
+        dow(CivilDate(2000, 1, 1), method_id, pipeline_id)
+    text = str(e.value)
+    assert text.startswith(message)
+    assert "\n" not in text and len(text) <= 3 * ECHO_LIMIT, len(text)
