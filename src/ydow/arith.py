@@ -81,6 +81,11 @@ class SignConvention(Enum):
     NEGATIVE = "neg"
 
 
+# Module constants for the members: a class attribute of an Enum is read
+# through EnumType's Python-level __getattr__ hook, a global is not.
+POSITIVE, NEGATIVE = SignConvention
+
+
 class ShareResult(NamedTuple):
     """A method's output: the unreduced raw value, its sign convention, the
     implied positive residue in [0, 6], and the trace of steps taken.
@@ -102,7 +107,10 @@ class ShareResult(NamedTuple):
 
 
 def normalize(raw: int, convention: SignConvention, trace: "StepTrace | None" = None) -> ShareResult:
-    """Wrap a raw method output with its normalized positive residue."""
-    if convention is SignConvention.POSITIVE:
-        return ShareResult(raw, convention, raw % 7, trace)
-    return ShareResult(raw, convention, -raw % 7, trace)
+    """Wrap a raw method output with its normalized positive residue.
+
+    The result is built with `tuple.__new__`, as `ShareResult._make` does,
+    which skips the NamedTuple's Python-level `__new__`.
+    """
+    residue = raw % 7 if convention is POSITIVE else -raw % 7
+    return tuple.__new__(ShareResult, (raw, convention, residue, trace))

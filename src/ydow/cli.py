@@ -11,6 +11,7 @@ import json
 import re
 import sys
 
+from ._record import echo
 from .arith import SignConvention
 from .dates import parse_date
 from .divisor import NotRepresentableError, derive_divisor_formula
@@ -178,7 +179,7 @@ def _ascii_int(text: str) -> int:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

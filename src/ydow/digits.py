@@ -9,18 +9,15 @@ genuinely depend on that.
 
 from __future__ import annotations
 
-from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
-from .trace import Step, StepKind, StepTrace
+from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div, normalize
+from .trace import (
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, Step, StepTrace, new_step,
+)
 
 
 def _digit_split(y: int) -> tuple[int, int, Step]:
     t, u = divmod(y, 10)
-    step = Step(
-        StepKind.DIV_SPLIT,
-        f"digits of {y}: tens {t}, units {u}",
-        (y, 10),
-        t,
-    )
+    step = new_step((DIV_SPLIT, f"digits of {y}: tens {t}, units {u}", (y, 10), t))
     return t, u, step
 
 
@@ -37,24 +34,14 @@ def eisele(y: int) -> ShareResult:
     half = u // 2
     raw = 2 * t - half + r
     steps = (
-        Step(
-            StepKind.DIV_SPLIT,
-            f"largest multiple of four not exceeding {y} is {m}, remainder {r}",
-            (y, 4),
-            q,
-        ),
-        Step(StepKind.DIV_SPLIT, f"digits of {m}: tens {t}, units {u}", (m, 10), t),
-        Step(StepKind.MUL_SMALL, f"twice the tens digit: 2*{t} = {2 * t}", (2, t), 2 * t),
-        Step(StepKind.HALVE, f"half the units digit: {u}/2 = {half}", (u,), half),
-        Step(
-            StepKind.SUB_CONST,
-            f"2t - u/2: {2 * t} - {half} = {2 * t - half}",
-            (2 * t, half),
-            2 * t - half,
-        ),
-        Step(StepKind.ADD_CONST, f"plus the remainder: {2 * t - half} + {r} = {raw}", (2 * t - half, r), raw),
+        new_step((DIV_SPLIT, f"largest multiple of four not exceeding {y} is {m}, remainder {r}", (y, 4), q)),
+        new_step((DIV_SPLIT, f"digits of {m}: tens {t}, units {u}", (m, 10), t)),
+        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {2 * t}", (2, t), 2 * t)),
+        new_step((HALVE, f"half the units digit: {u}/2 = {half}", (u,), half)),
+        new_step((SUB_CONST, f"2t - u/2: {2 * t} - {half} = {2 * t - half}", (2 * t, half), 2 * t - half)),
+        new_step((ADD_CONST, f"plus the remainder: {2 * t - half} + {r} = {raw}", (2 * t - half, r), raw)),
     )
-    return normalize(raw, SignConvention.POSITIVE, StepTrace(steps))
+    return normalize(raw, POSITIVE, StepTrace(steps))
 
 
 def harringer(y: int) -> ShareResult:
@@ -69,24 +56,14 @@ def harringer(y: int) -> ShareResult:
     t, u = divmod(m, 10)
     raw = 2 * t + 3 * u + r
     steps = (
-        Step(
-            StepKind.DIV_SPLIT,
-            f"largest multiple of four not exceeding {y} is {m}, remainder {r}",
-            (y, 4),
-            q,
-        ),
-        Step(StepKind.DIV_SPLIT, f"digits of {m}: tens {t}, units {u}", (m, 10), t),
-        Step(StepKind.MUL_SMALL, f"twice the tens digit: 2*{t} = {2 * t}", (2, t), 2 * t),
-        Step(StepKind.MUL_SMALL, f"thrice the units digit: 3*{u} = {3 * u}", (3, u), 3 * u),
-        Step(
-            StepKind.ADD_CONST,
-            f"2t + 3u: {2 * t} + {3 * u} = {2 * t + 3 * u}",
-            (2 * t, 3 * u),
-            2 * t + 3 * u,
-        ),
-        Step(StepKind.ADD_CONST, f"plus the remainder: {2 * t + 3 * u} + {r} = {raw}", (2 * t + 3 * u, r), raw),
+        new_step((DIV_SPLIT, f"largest multiple of four not exceeding {y} is {m}, remainder {r}", (y, 4), q)),
+        new_step((DIV_SPLIT, f"digits of {m}: tens {t}, units {u}", (m, 10), t)),
+        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {2 * t}", (2, t), 2 * t)),
+        new_step((MUL_SMALL, f"thrice the units digit: 3*{u} = {3 * u}", (3, u), 3 * u)),
+        new_step((ADD_CONST, f"2t + 3u: {2 * t} + {3 * u} = {2 * t + 3 * u}", (2 * t, 3 * u), 2 * t + 3 * u)),
+        new_step((ADD_CONST, f"plus the remainder: {2 * t + 3 * u} + {r} = {raw}", (2 * t + 3 * u, r), raw)),
     )
-    return normalize(raw, SignConvention.POSITIVE, StepTrace(steps))
+    return normalize(raw, POSITIVE, StepTrace(steps))
 
 
 def digits_aa(y: int) -> ShareResult:
@@ -100,23 +77,13 @@ def digits_aa(y: int) -> ShareResult:
     raw = twot - s2
     steps = (
         split,
-        Step(StepKind.MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot),
-        Step(StepKind.ADD_CONST, f"2t + u = {twot} + {u} = {inner}", (twot, u), inner),
-        Step(
-            StepKind.QUARTER_FLOOR,
-            f"its quarter: floor({inner}/4) = {quarter}",
-            (inner,),
-            quarter,
-        ),
-        Step(StepKind.ADD_CONST, f"add the units digit: {quarter} + {u} = {s2}", (quarter, u), s2),
-        Step(
-            StepKind.SUB_CONST,
-            f"subtract that sum from 2t: {twot} - {s2} = {raw}",
-            (twot, s2),
-            raw,
-        ),
+        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot)),
+        new_step((ADD_CONST, f"2t + u = {twot} + {u} = {inner}", (twot, u), inner)),
+        new_step((QUARTER_FLOOR, f"its quarter: floor({inner}/4) = {quarter}", (inner,), quarter)),
+        new_step((ADD_CONST, f"add the units digit: {quarter} + {u} = {s2}", (quarter, u), s2)),
+        new_step((SUB_CONST, f"subtract that sum from 2t: {twot} - {s2} = {raw}", (twot, s2), raw)),
     )
-    return normalize(raw, SignConvention.NEGATIVE, StepTrace(steps))
+    return normalize(raw, NEGATIVE, StepTrace(steps))
 
 
 def fong(y: int) -> ShareResult:
@@ -132,43 +99,23 @@ def fong(y: int) -> ShareResult:
     twot = 2 * t
     steps = [
         split,
-        Step(
-            StepKind.PARITY_TEST,
-            f"tens digit {t} is {'odd' if p else 'even'}",
-            (t,),
-            p,
-        ),
-        Step(StepKind.MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot),
+        new_step((PARITY_TEST, f"tens digit {t} is {'odd' if p else 'even'}", (t,), p)),
+        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot)),
     ]
     acc = twot
     if p:
-        steps.append(
-            Step(StepKind.ADD_CONST, f"tens digit odd: add 10, {acc} + 10 = {acc + 10}", (acc, 10), acc + 10)
-        )
+        steps.append(new_step((ADD_CONST, f"tens digit odd: add 10, {acc} + 10 = {acc + 10}", (acc, 10), acc + 10)))
         acc += 10
-    steps.append(
-        Step(StepKind.ADD_CONST, f"add the units digit: {acc} + {u} = {acc + u}", (acc, u), acc + u)
-    )
+    steps.append(new_step((ADD_CONST, f"add the units digit: {acc} + {u} = {acc + u}", (acc, u), acc + u)))
     acc += u
     inner = 2 * p + u
     if p:
-        steps.append(
-            Step(
-                StepKind.ADD_CONST,
-                f"tens digit odd: quarter {u} + 2 = {inner} instead of {u}",
-                (u, 2),
-                inner,
-            )
-        )
+        steps.append(new_step((ADD_CONST, f"tens digit odd: quarter {u} + 2 = {inner} instead of {u}", (u, 2), inner)))
     quarter = inner // 4
-    steps.append(
-        Step(StepKind.QUARTER_FLOOR, f"its quarter: floor({inner}/4) = {quarter}", (inner,), quarter)
-    )
+    steps.append(new_step((QUARTER_FLOOR, f"its quarter: floor({inner}/4) = {quarter}", (inner,), quarter)))
     raw = acc + quarter
-    steps.append(
-        Step(StepKind.ADD_CONST, f"add the quarter: {acc} + {quarter} = {raw}", (acc, quarter), raw)
-    )
-    return normalize(raw, SignConvention.POSITIVE, StepTrace(tuple(steps)))
+    steps.append(new_step((ADD_CONST, f"add the quarter: {acc} + {quarter} = {raw}", (acc, quarter), raw)))
+    return normalize(raw, POSITIVE, StepTrace(tuple(steps)))
 
 
 def wang(y: int) -> ShareResult:
@@ -187,18 +134,13 @@ def wang(y: int) -> ShareResult:
     raw = diff + quarter
     steps = (
         split,
-        Step(StepKind.SUB_CONST, f"units minus tens: {u} - {t} = {diff}", (u, t), diff),
-        Step(StepKind.MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot),
-        Step(StepKind.SUB_CONST, f"u - 2t = {u} - {twot} = {inner}", (u, twot), inner),
-        Step(
-            StepKind.QUARTER_FLOOR,
-            f"quarter, rounded down: floor({inner}/4) = {quarter}",
-            (inner,),
-            quarter,
-        ),
-        Step(StepKind.ADD_CONST, f"add it to u - t: {diff} + {quarter} = {raw}", (diff, quarter), raw),
+        new_step((SUB_CONST, f"units minus tens: {u} - {t} = {diff}", (u, t), diff)),
+        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot)),
+        new_step((SUB_CONST, f"u - 2t = {u} - {twot} = {inner}", (u, twot), inner)),
+        new_step((QUARTER_FLOOR, f"quarter, rounded down: floor({inner}/4) = {quarter}", (inner,), quarter)),
+        new_step((ADD_CONST, f"add it to u - t: {diff} + {quarter} = {raw}", (diff, quarter), raw)),
     )
-    return normalize(raw, SignConvention.POSITIVE, StepTrace(steps))
+    return normalize(raw, POSITIVE, StepTrace(steps))
 
 
 def digits_ab(y: int) -> ShareResult:
@@ -227,15 +169,10 @@ def digits_ab(y: int) -> ShareResult:
         qdesc = f"quarter of {-d} is exactly {(-d) // 4}: floor({d}/4) = {quarter}"
     steps = (
         split,
-        Step(StepKind.MUL_SMALL, f"5u = 5*{u} = {fiveu}", (5, u), fiveu),
-        Step(StepKind.MUL_SMALL, f"6t = 6*{t} = {sixt}", (6, t), sixt),
-        Step(
-            StepKind.SUB_CONST,
-            f"5u - 6t = {fiveu} - {sixt} = {d} (remember the sign)",
-            (fiveu, sixt),
-            d,
-        ),
-        Step(StepKind.QUARTER_FLOOR, qdesc, (d,), quarter),
-        Step(StepKind.SIGN_FLIP, f"attach the opposite sign: {raw}", (quarter,), raw),
+        new_step((MUL_SMALL, f"5u = 5*{u} = {fiveu}", (5, u), fiveu)),
+        new_step((MUL_SMALL, f"6t = 6*{t} = {sixt}", (6, t), sixt)),
+        new_step((SUB_CONST, f"5u - 6t = {fiveu} - {sixt} = {d} (remember the sign)", (fiveu, sixt), d)),
+        new_step((QUARTER_FLOOR, qdesc, (d,), quarter)),
+        new_step((SIGN_FLIP, f"attach the opposite sign: {raw}", (quarter,), raw)),
     )
-    return normalize(raw, SignConvention.NEGATIVE, StepTrace(steps))
+    return normalize(raw, NEGATIVE, StepTrace(steps))

@@ -9,6 +9,14 @@ with small coefficients.  Six divisors ship as a built-in table; the
 derivation engine reconstructs such a formula for any divisor in [2, 28]
 that admits one with the inner q-coefficient in {-1, 0, 1}.
 
+Each `DivisorSpec` compiles its step plan once, when it is constructed:
+which terms are non-zero, whether each is negated, multiplied, added or
+subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).
+`eval_divisor` then only splits y, computes the numbers and formats them
+into the plan's texts.  The plan sits in a slot the record's fields leave
+out, so `repr`, `==`, `hash`, pickle, copy and `_replace` see only the
+seven coefficients, and every copy compiles its own plan.
+
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
 own traces.  Running them through `eval_divisor` would keep their values,
 their costs under the default model and their largest magnitudes, yet it
@@ -21,14 +29,24 @@ from __future__ import annotations
 
 from ._record import Record, echo
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
-from .trace import Step, StepKind, StepTrace
+from .trace import (
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step,
+)
 
 
 class NotRepresentableError(ValueError):
     """No formula with a small inner coefficient exists for this divisor."""
 
 
-class DivisorSpec(Record):
+class _Planned(Record):
+    # Holds a spec's compiled plan.  Record reads a record's fields from the
+    # __slots__ of its own class, so a slot declared here stays out of repr,
+    # ==, hash, pickle, copy and _replace; those rebuild through __init__,
+    # which compiles the plan again.
+    __slots__ = ("_plan",)
+
+
+class DivisorSpec(_Planned):
     """Coefficient record for one divisor formula, immutable (see `_record`).
 
     Value at y = d*q + r is coef_q*q + coef_r*r +
@@ -52,6 +70,7 @@ class DivisorSpec(Record):
         object.__setattr__(self, "coef_floor", coef_floor)
         object.__setattr__(self, "inner_q", inner_q)
         object.__setattr__(self, "inner_r", inner_r)
+        object.__setattr__(self, "_plan", _compile_plan(coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
         q, r = divmod_split(y, self.d)
@@ -98,6 +117,44 @@ def _append_term(text: str, coef: int, sym: str) -> str:
     return f"{text} + {term}" if coef > 0 else f"{text} - {term}"
 
 
+def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int) -> tuple:
+    """A spec's steps after the split, as ops for `eval_divisor`, symbols built once.
+
+    Each sum (the inner one under the floor, then the outer one) is folded
+    left to right over its non-zero coef*value terms.  Each term is one op
+    `(src, pre, text, m, comb, comb_text, op)`: it reads vals[src] (q, r
+    or the floor), takes `m` times it in a `pre` step (MUL_SMALL, or
+    SIGN_FLIP for a leading -1; None for no step), then adds it to or
+    subtracts it from the running sum in a `comb` step (None for a leading
+    term, which starts the sum; `op` is " + " or " - ").  Between the
+    sums, one QUARTER_FLOOR op floors the inner sum by four.
+    """
+    ops = []
+
+    def fold(terms: list[tuple[int, int, str]]) -> str:
+        text = ""
+        for coef, src, sym in terms:
+            if coef == 0:
+                continue
+            m = abs(coef) if text else coef
+            pre = None if m == 1 else SIGN_FLIP if m == -1 else MUL_SMALL
+            comb = None if not text else ADD_CONST if coef > 0 else SUB_CONST
+            text = _append_term(text, coef, sym)
+            ops.append((src, pre, f"-{sym} = " if m == -1 else f"{m}*{sym} = ", m, comb, f"{text}: ",
+                        " + " if coef > 0 else " - "))
+        return text
+
+    terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
+    if coef_floor != 0:
+        inner = fold([(inner_q, 0, "q"), (inner_r, 1, "r")])
+        if " " in inner:
+            inner = f"({inner})"
+        ops.append((2, QUARTER_FLOOR, f"floor({inner}/4) = floor(", 0, None, "", ""))
+        terms.append((coef_floor, 2, f"floor({inner}/4)"))
+    fold(terms)
+    return tuple(ops)
+
+
 # The six shipped formulas, kept as data so a single evaluator runs them all.
 # Conventions follow where each formula lands relative to the reference
 # year share; the d=12 rule (dozens + remainder + fours) is the positive
@@ -121,82 +178,40 @@ def divmod_split(y: int, d: int) -> tuple[int, int]:
 
 
 def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
-    """Evaluate a divisor formula at y, recording one step per mental operation."""
-    q, r = divmod_split(y, spec.d)
-    steps: list[Step] = [
-        Step(
-            StepKind.DIV_SPLIT,
-            f"split {y} = {spec.d}*{q} + {r} (q={q}, r={r})",
-            (y, spec.d),
-            q,
-        )
-    ]
-    terms: list[tuple[int, int, str]] = [(spec.coef_q, q, "q"), (spec.coef_r, r, "r")]
-    if spec.coef_floor != 0:
-        inner, inner_sym = _accumulate(
-            steps, [(spec.inner_q, q, "q"), (spec.inner_r, r, "r")]
-        )
-        if " " in inner_sym:
-            inner_sym = f"({inner_sym})"
-        fval = floor_div(inner, 4)
-        steps.append(
-            Step(
-                StepKind.QUARTER_FLOOR,
-                f"floor({inner_sym}/4) = floor({inner}/4) = {fval}",
-                (inner,),
-                fval,
-            )
-        )
-        terms.append((spec.coef_floor, fval, f"floor({inner_sym}/4)"))
-    raw, _ = _accumulate(steps, terms)
-    if not steps or steps[-1].result != raw:
-        # degenerate single-term formula; pin the final value explicitly
-        steps.append(Step(StepKind.SET, f"value is {raw}", (raw,), raw))
-    return normalize(raw, spec.convention, StepTrace(tuple(steps)))
+    """Evaluate a divisor formula at y, recording one step per mental operation.
 
-
-def _accumulate(steps: list[Step], terms: list[tuple[int, int, str]]) -> tuple[int, str]:
-    """Fold coef*value terms left to right, emitting add/sub/multiply steps."""
-    acc = None
-    acc_sym = ""
-    for coef, val, sym in terms:
-        if coef == 0:
+    The steps follow the spec's plan (see `_compile_plan`); this only splits
+    y, computes the numbers and formats them into the plan's texts.
+    """
+    d = spec.d
+    q, r = divmod_split(y, d)
+    steps = [new_step((DIV_SPLIT, f"split {y} = {d}*{q} + {r} (q={q}, r={r})", (y, d), q))]
+    vals = [q, r, 0]
+    acc = 0
+    for src, pre, text, m, comb, comb_text, op in spec._plan:
+        if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
+            fval = vals[2] = acc // 4
+            steps.append(new_step((QUARTER_FLOOR, f"{text}{acc}/4) = {fval}", (acc,), fval)))
             continue
-        if acc is None:
-            if coef == 1:
-                acc = val
-            elif coef == -1:
-                steps.append(Step(StepKind.SIGN_FLIP, f"-{sym} = {-val}", (val,), -val))
-                acc = -val
-            else:
-                steps.append(
-                    Step(StepKind.MUL_SMALL, f"{coef}*{sym} = {coef * val}", (coef, val), coef * val)
-                )
-                acc = coef * val
-            acc_sym = _append_term("", coef, sym)
-            continue
-        if abs(coef) == 1:
+        val = vals[src]
+        if pre is None:
             operand = val
+        elif pre is SIGN_FLIP:
+            operand = -val
+            steps.append(new_step((SIGN_FLIP, f"{text}{operand}", (val,), operand)))
         else:
-            steps.append(
-                Step(StepKind.MUL_SMALL, f"{abs(coef)}*{sym} = {abs(coef) * val}", (abs(coef), val), abs(coef) * val)
-            )
-            operand = abs(coef) * val
-        new_sym = _append_term(acc_sym, coef, sym)
-        if coef > 0:
-            steps.append(
-                Step(StepKind.ADD_CONST, f"{new_sym}: {acc} + {operand} = {acc + operand}", (acc, operand), acc + operand)
-            )
-            acc += operand
+            operand = m * val
+            steps.append(new_step((MUL_SMALL, f"{text}{operand}", (m, val), operand)))
+        if comb is None:
+            acc = operand
         else:
-            steps.append(
-                Step(StepKind.SUB_CONST, f"{new_sym}: {acc} - {operand} = {acc - operand}", (acc, operand), acc - operand)
-            )
-            acc -= operand
-        acc_sym = new_sym
-    if acc is None:
-        acc = 0
-    return acc, acc_sym
+            new = acc + operand if comb is ADD_CONST else acc - operand
+            steps.append(new_step((comb, f"{comb_text}{acc}{op}{operand} = {new}", (acc, operand), new)))
+            acc = new
+    if steps[-1].result != acc:
+        # degenerate single-term formula; pin the final value explicitly
+        steps.append(new_step((SET, f"value is {acc}", (acc,), acc)))
+    return normalize(acc, spec.convention, StepTrace(tuple(steps)))
 
 
 def derive_divisor_formula(d: int, convention: SignConvention) -> DivisorSpec:
@@ -245,14 +260,9 @@ def div4(y: int) -> ShareResult:
     half = m // 2
     raw = half - r
     steps = (
-        Step(
-            StepKind.DIV_SPLIT,
-            f"highest multiple of four not exceeding {y} is {m}, remainder {r}",
-            (y, 4),
-            q,
-        ),
-        Step(StepKind.HALVE, f"half of {m} is {half}", (m,), half),
-        Step(StepKind.SUB_CONST, f"minus the remainder: {half} - {r} = {raw}", (half, r), raw),
+        new_step((DIV_SPLIT, f"highest multiple of four not exceeding {y} is {m}, remainder {r}", (y, 4), q)),
+        new_step((HALVE, f"half of {m} is {half}", (m,), half)),
+        new_step((SUB_CONST, f"minus the remainder: {half} - {r} = {raw}", (half, r), raw)),
     )
     return normalize(raw, spec.convention, StepTrace(steps))
 
@@ -268,9 +278,9 @@ def div12(y: int) -> ShareResult:
     fours = floor_div(r, 4)
     raw = q + r + fours
     steps = (
-        Step(StepKind.DIV_SPLIT, f"dozens in {y}: {q}, remainder {r}", (y, 12), q),
-        Step(StepKind.QUARTER_FLOOR, f"fours in the remainder: floor({r}/4) = {fours}", (r,), fours),
-        Step(StepKind.ADD_CONST, f"dozens plus remainder: {q} + {r} = {q + r}", (q, r), q + r),
-        Step(StepKind.ADD_CONST, f"plus the fours: {q + r} + {fours} = {raw}", (q + r, fours), raw),
+        new_step((DIV_SPLIT, f"dozens in {y}: {q}, remainder {r}", (y, 12), q)),
+        new_step((QUARTER_FLOOR, f"fours in the remainder: floor({r}/4) = {fours}", (r,), fours)),
+        new_step((ADD_CONST, f"dozens plus remainder: {q} + {r} = {q + r}", (q, r), q + r)),
+        new_step((ADD_CONST, f"plus the fours: {q + r} + {fours} = {raw}", (q + r, fours), raw)),
     )
     return normalize(raw, spec.convention, StepTrace(steps))

@@ -21,9 +21,11 @@ First-Sunday assembly `day - ((anchor date - doomsday) % 7 or 7)` is
 congruent to it mod 7, because `s or 7` is congruent to `s`, so the
 pipeline matters only to the trace.  A doomsday entry is filled on first
 use from the method's cached residue, so the method still enters the value
-path only through `residue`.  The traced call runs no separate weekday
-formula: it emits the assembly's steps and takes the weekday from the last
-step's result.  `DowResult` is an immutable NamedTuple.
+path only through `residue`.  The traced call finds its inputs the same
+way, by `year % 400`: the century anchor, the month's anchor date and the
+method's result at `year % 400 % 100`, which is `year % 100`.  It runs no
+separate weekday formula: it emits the assembly's steps and takes the
+weekday from the last step's result.  `DowResult` is an immutable NamedTuple.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._record import echo
-from .arith import SignConvention
+from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _cached_eval, get_method
-from .trace import Step, StepKind, StepTrace
+from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step
 
 
 class CalendarPolicyError(ValueError):
@@ -118,21 +120,19 @@ def dow(
             f"{date} precedes the Gregorian calendar ({GREGORIAN_START_YEAR}); "
             "pass proleptic=True to compute anyway"
         )
+    func = desc.func
+    y4 = year % 400
     if with_trace:
-        century, y = divmod(year, 100)
-        share = _cached_eval(desc.func, y)  # y from divmod is always in [0, 99]
-        anchor = _CENTURY_ANCHORS[century % 4]
-        dd = _MONTH_ANCHORS[is_leap(year)][date.month]
-        trace = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, anchor, dd)
+        share = _cached_eval(func, y4 % 100)
+        dd = _MONTH_ANCHOR_ROWS[y4][date.month]
+        trace = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
         return DowResult(date, _WEEKDAYS[trace.steps[-1].result], method_id, pipeline, trace)
 
-    func = desc.func
     table = _DOOMSDAYS.get(func)
     if table is None:
         if len(_DOOMSDAYS) >= _MAX_DOOMSDAY_TABLES:
             _DOOMSDAYS.pop(next(iter(_DOOMSDAYS)), None)  # the oldest table
         table = _DOOMSDAYS[func] = [None] * 400
-    y4 = year % 400
     doomsday = table[y4]
     if doomsday is None:
         doomsday = table[y4] = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
@@ -151,15 +151,15 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
     """
     steps = list(share.trace.steps) if share.trace is not None else []
     if doomsday:
-        wanted, sign, share_name = SignConvention.POSITIVE, "positive", "year share"
+        wanted, sign, share_name = POSITIVE, "positive", "year share"
     else:
-        wanted, sign, share_name = SignConvention.NEGATIVE, "negative", "negative year share"
+        wanted, sign, share_name = NEGATIVE, "negative", "negative year share"
     raw = share.raw
     if share.convention is not wanted:
-        steps.append(Step(StepKind.SIGN_FLIP, f"{sign} share is the negation: {-raw}", (raw,), -raw))
+        steps.append(new_step((SIGN_FLIP, f"{sign} share is the negation: {-raw}", (raw,), -raw)))
         raw = -raw
     r = raw % 7
-    steps.append(Step(StepKind.MOD7_REDUCE, f"reduce mod 7: {share_name} {r}", (raw,), r))
+    steps.append(new_step((MOD7_REDUCE, f"reduce mod 7: {share_name} {r}", (raw,), r)))
 
     day = date.day
     if doomsday:
@@ -167,9 +167,9 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         a2 = a1 + day
         last = a2 - dd
         steps += (
-            Step(StepKind.ADD_CONST, f"add the century anchor {anchor}: {r} + {anchor} = {a1}", (r, anchor), a1),
-            Step(StepKind.ADD_CONST, f"add the day of the month: {a1} + {day} = {a2}", (a1, day), a2),
-            Step(StepKind.SUB_CONST, f"subtract the month's anchor date {dd}: {a2} - {dd} = {last}", (a2, dd), last),
+            new_step((ADD_CONST, f"add the century anchor {anchor}: {r} + {anchor} = {a1}", (r, anchor), a1)),
+            new_step((ADD_CONST, f"add the day of the month: {a1} + {day} = {a2}", (a1, day), a2)),
+            new_step((SUB_CONST, f"subtract the month's anchor date {dd}: {a2} - {dd} = {last}", (a2, dd), last)),
         )
     else:
         cterm = -anchor % 7
@@ -179,13 +179,13 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         f = s or 7
         last = day - f
         steps += (
-            Step(StepKind.ADD_CONST, f"add the century term {cterm}: {r} + {cterm} = {a1}", (r, cterm), a1),
-            Step(StepKind.ADD_CONST, f"add the month's anchor date {dd}: {a1} + {dd} = {a2}", (a1, dd), a2),
-            Step(StepKind.MOD7_REDUCE, f"reduce mod 7: {s}", (a2,), s),
-            Step(StepKind.SET, f"first Sunday of the month falls on day {f}", (f,), f),
-            Step(StepKind.SUB_CONST, f"day {day} minus the first Sunday {f}: {last}", (day, f), last),
+            new_step((ADD_CONST, f"add the century term {cterm}: {r} + {cterm} = {a1}", (r, cterm), a1)),
+            new_step((ADD_CONST, f"add the month's anchor date {dd}: {a1} + {dd} = {a2}", (a1, dd), a2)),
+            new_step((MOD7_REDUCE, f"reduce mod 7: {s}", (a2,), s)),
+            new_step((SET, f"first Sunday of the month falls on day {f}", (f,), f)),
+            new_step((SUB_CONST, f"day {day} minus the first Sunday {f}: {last}", (day, f), last)),
         )
 
     w = last % 7
-    steps.append(Step(StepKind.MOD7_REDUCE, f"reduce mod 7: weekday {w} ({_WEEKDAYS[w].display_name})", (last,), w))
+    steps.append(new_step((MOD7_REDUCE, f"reduce mod 7: weekday {w} ({_WEEKDAYS[w].display_name})", (last,), w)))
     return StepTrace(tuple(steps))

@@ -8,8 +8,8 @@ ShareResult.
 
 from __future__ import annotations
 
-from .arith import ShareResult, SignConvention, check_year2, normalize
-from .trace import Step, StepKind, StepTrace
+from .arith import NEGATIVE, ShareResult, check_year2, normalize
+from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, StepTrace, new_step
 
 
 def odd11(y: int) -> ShareResult:
@@ -22,20 +22,20 @@ def odd11(y: int) -> ShareResult:
     check_year2(y)
     steps = []
     ys = y
-    steps.append(Step(StepKind.SET, f"set YS to {ys}", (ys,), ys))
+    steps.append(new_step((SET, f"set YS to {ys}", (ys,), ys)))
     if ys % 2 == 1:
-        steps.append(Step(StepKind.ADD_CONST, f"YS is odd: add 11, {ys} + 11 = {ys + 11}", (ys, 11), ys + 11))
+        steps.append(new_step((ADD_CONST, f"YS is odd: add 11, {ys} + 11 = {ys + 11}", (ys, 11), ys + 11)))
         ys += 11
     else:
-        steps.append(Step(StepKind.PARITY_TEST, f"YS is even: leave {ys} unchanged", (ys,), ys % 2))
-    steps.append(Step(StepKind.HALVE, f"halve: {ys} / 2 = {ys // 2}", (ys,), ys // 2))
+        steps.append(new_step((PARITY_TEST, f"YS is even: leave {ys} unchanged", (ys,), ys % 2)))
+    steps.append(new_step((HALVE, f"halve: {ys} / 2 = {ys // 2}", (ys,), ys // 2)))
     ys //= 2
     if ys % 2 == 1:
-        steps.append(Step(StepKind.ADD_CONST, f"YS is odd: add 11, {ys} + 11 = {ys + 11}", (ys, 11), ys + 11))
+        steps.append(new_step((ADD_CONST, f"YS is odd: add 11, {ys} + 11 = {ys + 11}", (ys, 11), ys + 11)))
         ys += 11
     else:
-        steps.append(Step(StepKind.PARITY_TEST, f"YS is even: leave {ys} unchanged", (ys,), ys % 2))
-    return normalize(ys, SignConvention.NEGATIVE, StepTrace(tuple(steps)))
+        steps.append(new_step((PARITY_TEST, f"YS is even: leave {ys} unchanged", (ys,), ys % 2)))
+    return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))
 
 
 def parity3(y: int) -> ShareResult:
@@ -50,18 +50,18 @@ def parity3(y: int) -> ShareResult:
     check_year2(y)
     steps = []
     ys = y
-    steps.append(Step(StepKind.SET, f"set YS to {ys}", (ys,), ys))
+    steps.append(new_step((SET, f"set YS to {ys}", (ys,), ys)))
     remembered = ys % 2  # step-ii parity flag, reused verbatim in step iv
     if remembered:
-        steps.append(Step(StepKind.SUB_CONST, f"YS is odd (remember: odd): subtract 3, {ys} - 3 = {ys - 3}", (ys, 3), ys - 3))
+        steps.append(new_step((SUB_CONST, f"YS is odd (remember: odd): subtract 3, {ys} - 3 = {ys - 3}", (ys, 3), ys - 3)))
         ys -= 3
     else:
-        steps.append(Step(StepKind.PARITY_TEST, f"YS is even (remember: even): leave {ys} unchanged", (ys,), ys % 2))
-    steps.append(Step(StepKind.HALVE, f"halve: {ys} / 2 = {ys // 2}", (ys,), ys // 2))
+        steps.append(new_step((PARITY_TEST, f"YS is even (remember: even): leave {ys} unchanged", (ys,), ys % 2)))
+    steps.append(new_step((HALVE, f"halve: {ys} / 2 = {ys // 2}", (ys,), ys // 2)))
     ys //= 2
     if ys % 2 != remembered:
-        steps.append(Step(StepKind.SUB_CONST, f"parity changed: subtract 3, {ys} - 3 = {ys - 3}", (ys, 3), ys - 3))
+        steps.append(new_step((SUB_CONST, f"parity changed: subtract 3, {ys} - 3 = {ys - 3}", (ys, 3), ys - 3)))
         ys -= 3
     else:
-        steps.append(Step(StepKind.PARITY_TEST, f"parity unchanged: leave {ys} as is", (ys,), ys % 2))
-    return normalize(ys, SignConvention.NEGATIVE, StepTrace(tuple(steps)))
+        steps.append(new_step((PARITY_TEST, f"parity unchanged: leave {ys} as is", (ys,), ys % 2)))
+    return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))

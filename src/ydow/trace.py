@@ -6,9 +6,16 @@ example, replayed to re-derive the result, and priced under a cost model.
 
 A `Step` is an immutable `typing.NamedTuple`, so it is cheap to build and
 walk.  Like any tuple it compares equal to a plain tuple holding the same
-four fields.  `StepTrace` is an immutable record (see `_record`) wrapping a
-tuple of steps: its length and iteration are the steps', which a tuple base
-would conflict with, and it compares equal only to another `StepTrace`.
+four fields.  Every method body and assembly builds its steps through one
+constructor, `new_step = partial(tuple.__new__, Step)`: given a 4-tuple it
+makes the Step in C, skipping the NamedTuple's Python-level `__new__` and
+the Python frame of `Step._make`.  The kinds are module constants too
+(`SET`, `ADD_CONST`, ...): an attribute of an Enum class is read through
+EnumType's Python-level `__getattr__` hook, a global is not.
+
+`StepTrace` is an immutable record (see `_record`) wrapping a tuple of
+steps: its length and iteration are the steps', which a tuple base would
+conflict with, and it compares equal only to another `StepTrace`.
 `CostModel` is a record too.  `json` is imported by `load_cost_model`, the
 one place that reads it.
 """
@@ -16,6 +23,7 @@ one place that reads it.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -44,6 +52,10 @@ class Step(NamedTuple):
     result: int
 
 
+new_step = partial(tuple.__new__, Step)
+SET, PARITY_TEST, ADD_CONST, SUB_CONST, HALVE, QUARTER_FLOOR, DIV_SPLIT, MUL_SMALL, MOD7_REDUCE, SIGN_FLIP = StepKind
+
+
 class TraceReplayError(ValueError):
     """A recorded step does not match its recomputed arithmetic."""
 
@@ -63,9 +75,6 @@ _RULES = {
     StepKind.MOD7_REDUCE: lambda ops: ops[0] % 7,
     StepKind.SIGN_FLIP: lambda ops: -ops[0],
 }
-# PARITY_TEST inspects a value without producing a new working value; every
-# other kind yields a number that later steps may build on.
-_PARITY_TEST = StepKind.PARITY_TEST
 
 
 class StepTrace(Record):
@@ -96,7 +105,9 @@ class StepTrace(Record):
                 raise TraceReplayError(
                     f"step {i + 1} ({kind.value}): recorded {result}, recomputed {got}"
                 )
-            if kind is not _PARITY_TEST:
+            # PARITY_TEST inspects a value without producing a new working
+            # value; every other kind yields a number later steps may build on
+            if kind is not PARITY_TEST:
                 final = got
         if final is None:
             raise TraceReplayError("trace has no value-producing step")

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ydow
-from ydow._record import ECHO_LIMIT
+from ydow._record import ECHO_LIMIT, echo
 from ydow.arith import SignConvention, normalize
 from ydow.cli import main
 from ydow.dates import CivilDate
@@ -214,7 +214,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert e.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[-1].endswith(f"error: argument {argv[1]}: invalid int value: {argv[2]!r}")
+    assert err.splitlines()[-1].endswith(f"error: argument {argv[1]}: invalid int value: {echo(argv[2])}")
 
 
 def test_table_csv(capsys):

@@ -116,13 +116,14 @@ def test_anchor_datum():
 
 
 def test_alternate_anchor():
-    # anchoring on a different known day must not change any answer
+    # anchoring on a different known day must not change any answer, over
+    # one full 400-year cycle (1601-2000, which holds both anchors)
     alt = AnchorConfig(CivilDate(1970, 1, 1), Weekday.THURSDAY)
-    start = datetime.date(1, 1, 1)
-    sample = [start + datetime.timedelta(days=i) for i in range(0, 3652059, 997)]
-    dates = [CivilDate(d.year, d.month, d.day) for d in sample]
-    dates += [CivilDate(2000, 1, 1), CivilDate(1912, 6, 23), CivilDate(2037, 11, 5)]
-    for cd in dates:
+    start = datetime.date(1601, 1, 1)
+    cycle = [start + datetime.timedelta(days=i) for i in range(146097)]
+    assert cycle[-1] == datetime.date(2000, 12, 31)
+    for d in cycle:
+        cd = CivilDate(d.year, d.month, d.day)
         assert daycount_weekday(cd, alt) is daycount_weekday(cd, DEFAULT_ANCHOR), cd
 
 

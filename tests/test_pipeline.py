@@ -5,7 +5,7 @@ import pytest
 
 from ydow import pipeline
 from ydow._record import ECHO_LIMIT
-from ydow.arith import normalize
+from ydow.arith import SignConvention, normalize
 from ydow.dates import CivilDate, Weekday, daycount_weekday, is_leap, month_length
 from ydow.pipeline import (
     CalendarPolicyError,
@@ -17,6 +17,8 @@ from ydow.pipeline import (
 )
 from ydow.registry import METHODS, UnknownMethodError, method_ids
 from ydow.trace import StepKind
+
+POS, NEG = SignConvention.POSITIVE, SignConvention.NEGATIVE
 
 SAMPLE_DATES = [
     CivilDate(1583, 1, 1),
@@ -95,21 +97,57 @@ def test_dow_trace_replays_to_the_weekday():
             assert res.trace.replay() == int(res.weekday), (cd, pl)
 
 
+def _ends_in_weekday(trace, want: int) -> bool:
+    last = trace.steps[-1]
+    return trace.replay() == want and last.kind is StepKind.MOD7_REDUCE and last.result == want
+
+
 def test_traced_weekday_is_the_value_path_weekday():
-    """The traced call takes its weekday from its last step: a final mod-7
-    reduction that must match the value path and replay to itself."""
-    start = datetime.date(2000, 1, 1)
-    year_2000 = [start + datetime.timedelta(days=i) for i in range(366)]
-    dates = [CivilDate(d.year, d.month, d.day) for d in year_2000] + SAMPLE_DATES
-    for mid in method_ids():
+    """Every traced assembly replays and ends in the value path's weekday.
+
+    `_build_trace` reads the share only in its prologue, which reduces
+    (raw, convention) to r, the share in the sign the pipeline consumes.
+    After that it reads only r, the century anchor, the month's anchor date
+    and the day.  Part one runs the prologue for every (raw, convention)
+    pair the methods produce; part two runs the rest over every r, century
+    anchor, (month, leap) anchor date and valid day.  Each trace must end in
+    `(doomsday + day - anchor date) % 7`, the value path's formula, which is
+    proven against the day-count oracle over a full 400-year cycle.  `dow`
+    reads the anchors and the share from the value path's tables, so this
+    covers the traced `dow` for every Gregorian date.
+    """
+    date, anchor, dd = CivilDate(2001, 1, 1), pipeline._CENTURY_ANCHORS[0], month_anchor_date(1, False)
+    shares = {}
+    for desc in METHODS.values():
+        for y in range(100):
+            res = desc.func(y)
+            shares.setdefault((res.raw, res.convention), res)
+    assert len(shares) == 127
+    for (raw, convention), share in shares.items():
         for pl in PipelineId:
-            for cd in dates:
-                traced = dow(cd, mid, pl, with_trace=True)
-                want = dow(cd, mid, pl, with_trace=False).weekday
-                assert traced.weekday == want, (cd, mid, pl)
-                assert traced.trace.replay() == want, (cd, mid, pl)
-                last = traced.trace.steps[-1]
-                assert last.kind is StepKind.MOD7_REDUCE and last.result == want, (cd, mid, pl)
+            doomsday = pl is PipelineId.DOOMSDAY
+            trace = pipeline._build_trace(date, share, doomsday, anchor, dd)
+            r = share.residue if doomsday else share.negative_residue
+            reduced = next(s for s in trace.steps[len(share.trace):] if s.kind is StepKind.MOD7_REDUCE)
+            assert reduced.result == r, (raw, convention, pl)
+            assert _ends_in_weekday(trace, (anchor + share.residue + date.day - dd) % 7), (raw, convention, pl)
+
+    days = [CivilDate(2000 if leap else 2001, m, day) for leap in (False, True) for m in range(1, 13)
+            for day in range(1, month_length(2000 if leap else 2001, m) + 1)]
+    assert len(days) == 365 + 366
+    count = 0
+    for cd in days:
+        dd = month_anchor_date(cd.month, is_leap(cd.year))
+        for anchor in pipeline._CENTURY_ANCHORS:
+            for r in range(7):
+                for pl in PipelineId:
+                    doomsday = pl is PipelineId.DOOMSDAY
+                    share = normalize(r, POS if doomsday else NEG)
+                    trace = pipeline._build_trace(cd, share, doomsday, anchor, dd)
+                    want = (anchor + share.residue + cd.day - dd) % 7
+                    assert _ends_in_weekday(trace, want), (cd, anchor, r, pl)
+                    count += 1
+    assert count == 731 * 4 * 7 * 2
 
 
 def test_dow_without_trace():

@@ -19,7 +19,7 @@ from ydow import special
 from ydow._record import FrozenInstanceError, Record
 from ydow.arith import SignConvention
 from ydow.dates import AnchorConfig, CivilDate, DateValidationError, Weekday
-from ydow.divisor import DivisorSpec
+from ydow.divisor import DivisorSpec, eval_divisor
 from ydow.registry import (
     METHODS,
     CostReportRow,
@@ -162,6 +162,23 @@ def test_the_shipped_records_pickle():
         assert back._replace(func=desc.func) == desc
         assert back.func(37) == desc.func(37)
     assert pickle.loads(pickle.dumps(ydow.DEFAULT_COST_MODEL)) == ydow.DEFAULT_COST_MODEL
+
+
+def test_a_divisor_plan_stays_out_of_the_record():
+    # DivisorSpec compiles its step plan into a slot of a base class, which
+    # no record behaviour reads; every copy rebuilds it through __init__
+    spec = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
+    assert "_plan" not in spec.__slots__ and spec._plan
+    assert repr(spec) == CASES[4][1]
+    assert spec.__reduce__() == (DivisorSpec, fields_of(spec))
+    stale = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
+    object.__setattr__(stale, "_plan", ())
+    assert stale == spec and hash(stale) == hash(spec) == hash(fields_of(spec))
+    for twin in (copy.copy(stale), copy.deepcopy(stale), pickle.loads(pickle.dumps(stale)), stale._replace()):
+        assert twin == spec and twin._plan == spec._plan
+    changed = spec._replace(coef_floor=0, coef_r=3)
+    assert changed._plan == DivisorSpec(5, NEG, 1, 3, 0, 1, 1)._plan != spec._plan
+    assert eval_divisor(changed, 37) == eval_divisor(DivisorSpec(5, NEG, 1, 3, 0, 1, 1), 37)
 
 
 def test_civil_date_is_not_a_tuple():
