@@ -2,15 +2,23 @@
 
 `Record` gives ydow's record types what a frozen dataclass gave them, without
 importing `dataclasses` or paying for its class creation at import time.  A
-subclass lists its fields in `__slots__` and stores them from its own
-`__init__` with `object.__setattr__`; the base derives from `__slots__`:
+subclass lists its fields in `__slots__`; the base derives from them:
 
+- a constructor that takes one argument per field, in `__slots__` order, by
+  position or by name, and raises TypeError for a field that is missing,
+  repeated or unknown;
 - the dataclass repr, `Name(field=value, ...)`;
 - `==` only between instances of the same class, over the field tuple;
 - `hash` of the field tuple;
 - assignment and deletion raising FrozenInstanceError;
 - `__reduce__`, so `copy.copy` and `pickle` rebuild through `__init__`;
 - `_replace(**changes)`, a copy with some fields changed.
+
+A record that checks its input runs its checks and then `Record.__init__`.
+`CivilDate` and `StepTrace` store their fields with `object.__setattr__`
+themselves: they are built once per parsed date and once per method
+evaluation, and the generic constructor costs 1-2 µs more per record
+(`timeit`, 2 vCPUs, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -22,6 +30,24 @@ class FrozenInstanceError(AttributeError):
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        who = self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{who}() takes {len(names)} fields, got {len(args)}")
+        fields = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{who}() has no field {name!r}")
+            if name in fields:
+                raise TypeError(f"{who}() got field {name!r} twice")
+            fields[name] = value
+        if len(fields) < len(names):
+            missing = ", ".join([repr(name) for name in names if name not in fields])
+            raise TypeError(f"{who}() is missing field(s): {missing}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

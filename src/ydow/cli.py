@@ -12,7 +12,7 @@ import re
 import sys
 
 from ._record import echo
-from .arith import SignConvention
+from .arith import ShareResult, SignConvention
 from .dates import parse_date
 from .divisor import NotRepresentableError, derive_divisor_formula
 from .pipeline import PipelineId, dow
@@ -39,8 +39,7 @@ def _print_steps(trace: StepTrace) -> None:
         print(f"  {i}. {step.description}")
 
 
-def _share_json(method_id: str, y: int) -> dict:
-    res = evaluate(method_id, y)
+def _share_json(method_id: str, y: int, res: ShareResult) -> dict:
     return {
         "method": method_id,
         "year": y,
@@ -55,7 +54,7 @@ def cmd_compute(args) -> int:
     desc = get_method(args.method)
     res = evaluate(args.method, args.year)
     if args.json:
-        _emit_json(_share_json(args.method, args.year))
+        _emit_json(_share_json(args.method, args.year, res))
         return 0
     print(f"method: {desc.id} ({desc.display_name})")
     print(f"year: {args.year}")
@@ -70,7 +69,7 @@ def cmd_explain(args) -> int:
     desc = get_method(args.method)
     res = evaluate(args.method, args.year)
     if args.json:
-        _emit_json(_share_json(args.method, args.year), res.trace)
+        _emit_json(_share_json(args.method, args.year, res), res.trace)
         return 0
     print(f"{desc.display_name} ({desc.id}), year {args.year}:")
     _print_steps(res.trace)

@@ -13,9 +13,11 @@ Each `DivisorSpec` compiles its step plan once, when it is constructed:
 which terms are non-zero, whether each is negated, multiplied, added or
 subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).
 `eval_divisor` then only splits y, computes the numbers and formats them
-into the plan's texts.  The plan sits in a slot the record's fields leave
-out, so `repr`, `==`, `hash`, pickle, copy and `_replace` see only the
-seven coefficients, and every copy compiles its own plan.
+into the plan's texts, and `formula()` returns the plan's text of the whole
+formula, so the two write every term alike.  The plan sits in a slot the
+record's fields leave out, so `repr`, `==`, `hash`, pickle, copy and
+`_replace` see only the seven coefficients, and every copy compiles its own
+plan.
 
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
 own traces.  Running them through `eval_divisor` would keep their values,
@@ -51,25 +53,21 @@ class DivisorSpec(_Planned):
 
     Value at y = d*q + r is coef_q*q + coef_r*r +
     coef_floor * floor((inner_q*q + inner_r*r) / 4), interpreted under the
-    spec's sign convention.
+    spec's sign convention, a SignConvention member or its value ("pos" or
+    "neg").
     """
 
     __slots__ = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
 
     def __init__(
-        self, d: int, convention: SignConvention, coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int
+        self, d: int, convention: SignConvention | str, coef_q: int, coef_r: int, coef_floor: int, inner_q: int,
+        inner_r: int,
     ):
         if d < 2:
             raise ValueError(f"divisor must be >= 2, got {echo(d)}")
         if coef_floor not in (-1, 0, 1):
             raise ValueError(f"floor coefficient must be -1, 0 or 1, got {echo(coef_floor)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "coef_q", coef_q)
-        object.__setattr__(self, "coef_r", coef_r)
-        object.__setattr__(self, "coef_floor", coef_floor)
-        object.__setattr__(self, "inner_q", inner_q)
-        object.__setattr__(self, "inner_r", inner_r)
+        super().__init__(d, _sign_convention(convention), coef_q, coef_r, coef_floor, inner_q, inner_r)
         object.__setattr__(self, "_plan", _compile_plan(coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
@@ -80,13 +78,8 @@ class DivisorSpec(_Planned):
         return total
 
     def formula(self) -> str:
-        parts = _linear_text([(self.coef_q, "q"), (self.coef_r, "r")])
-        if self.coef_floor != 0:
-            inner = _linear_text([(self.inner_q, "q"), (self.inner_r, "r")]) or "0"
-            if any(ch in inner for ch in "+-"):
-                inner = f"({inner})"
-            parts = _append_term(parts, self.coef_floor, f"floor({inner}/4)")
-        return parts or "0"
+        """The formula as its trace names it, e.g. "q - r - floor((q + r)/4)"."""
+        return self._plan[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,11 +93,12 @@ class DivisorSpec(_Planned):
         }
 
 
-def _linear_text(pairs: list[tuple[int, str]]) -> str:
-    text = ""
-    for coef, sym in pairs:
-        text = _append_term(text, coef, sym)
-    return text
+def _sign_convention(value: SignConvention | str) -> SignConvention:
+    """A SignConvention member from itself or its value; anything else raises ValueError."""
+    try:
+        return SignConvention(value)
+    except ValueError:
+        raise ValueError(f"{echo(value)} is not a valid SignConvention") from None
 
 
 def _append_term(text: str, coef: int, sym: str) -> str:
@@ -118,10 +112,13 @@ def _append_term(text: str, coef: int, sym: str) -> str:
 
 
 def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int) -> tuple:
-    """A spec's steps after the split, as ops for `eval_divisor`, symbols built once.
+    """A spec's steps after the split, as ops for `eval_divisor`, and its formula text.
 
     Each sum (the inner one under the floor, then the outer one) is folded
-    left to right over its non-zero coef*value terms.  Each term is one op
+    left to right over its non-zero coef*value terms; an empty sum reads
+    "0", and an inner sum with more than one term is parenthesised.  The
+    outer sum's text is the formula, so `formula()` and the trace name every
+    term alike.  Each term is one op
     `(src, pre, text, m, comb, comb_text, op)`: it reads vals[src] (q, r
     or the floor), takes `m` times it in a `pre` step (MUL_SMALL, or
     SIGN_FLIP for a leading -1; None for no step), then adds it to or
@@ -142,7 +139,7 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
             text = _append_term(text, coef, sym)
             ops.append((src, pre, f"-{sym} = " if m == -1 else f"{m}*{sym} = ", m, comb, f"{text}: ",
                         " + " if coef > 0 else " - "))
-        return text
+        return text or "0"
 
     terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
     if coef_floor != 0:
@@ -151,8 +148,8 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
             inner = f"({inner})"
         ops.append((2, QUARTER_FLOOR, f"floor({inner}/4) = floor(", 0, None, "", ""))
         terms.append((coef_floor, 2, f"floor({inner}/4)"))
-    fold(terms)
-    return tuple(ops)
+    text = fold(terms)
+    return tuple(ops), text
 
 
 # The six shipped formulas, kept as data so a single evaluator runs them all.
@@ -188,7 +185,7 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     steps = [new_step((DIV_SPLIT, f"split {y} = {d}*{q} + {r} (q={q}, r={r})", (y, d), q))]
     vals = [q, r, 0]
     acc = 0
-    for src, pre, text, m, comb, comb_text, op in spec._plan:
+    for src, pre, text, m, comb, comb_text, op in spec._plan[0]:
         if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
             fval = vals[2] = acc // 4
             steps.append(new_step((QUARTER_FLOOR, f"{text}{acc}/4) = {fval}", (acc,), fval)))
@@ -214,7 +211,7 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     return normalize(acc, spec.convention, StepTrace(tuple(steps)))
 
 
-def derive_divisor_formula(d: int, convention: SignConvention) -> DivisorSpec:
+def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorSpec:
     """Reconstruct the formula for divisor d under the requested convention.
 
     Expanding floor(5y/4) at y = d*q + r and splitting 5r into 4r + r gives
@@ -228,6 +225,7 @@ def derive_divisor_formula(d: int, convention: SignConvention) -> DivisorSpec:
     """
     if not 2 <= d <= 28:
         raise ValueError(f"divisor must be in [2, 28], got {echo(d)}")
+    convention = _sign_convention(convention)
     target = (5 * d) % 28
     candidates = []
     for b in (-1, 0, 1):

@@ -39,22 +39,6 @@ class MethodCategory(str, Enum):
 class MethodDescriptor(Record):
     __slots__ = ("id", "display_name", "category", "convention", "citation", "func")
 
-    def __init__(
-        self,
-        id: str,
-        display_name: str,
-        category: MethodCategory,
-        convention: SignConvention,
-        citation: str,
-        func: Callable[[int], ShareResult],
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "display_name", display_name)
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "func", func)
-
 
 def _build_registry() -> dict[str, MethodDescriptor]:
     neg = SignConvention.NEGATIVE
@@ -133,22 +117,12 @@ def evaluate(method_id: str, y: int) -> ShareResult:
 class VerificationFailure(Record):
     __slots__ = ("y", "expected", "got")
 
-    def __init__(self, y: int, expected: int, got: int):
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "got", got)
-
     def to_json_dict(self) -> dict:
         return {"y": self.y, "expected": self.expected, "got": self.got}
 
 
 class VerificationReport(Record):
     __slots__ = ("method_id", "total", "failures")
-
-    def __init__(self, method_id: str, total: int, failures: tuple[VerificationFailure, ...]):
-        object.__setattr__(self, "method_id", method_id)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -186,13 +160,6 @@ def verify_all() -> list[VerificationReport]:
 class CostReportRow(Record):
     __slots__ = ("method_id", "min_cost", "max_cost", "mean_cost", "max_magnitude")
 
-    def __init__(self, method_id: str, min_cost: int, max_cost: int, mean_cost: float, max_magnitude: int):
-        object.__setattr__(self, "method_id", method_id)
-        object.__setattr__(self, "min_cost", min_cost)
-        object.__setattr__(self, "max_cost", max_cost)
-        object.__setattr__(self, "mean_cost", mean_cost)
-        object.__setattr__(self, "max_magnitude", max_magnitude)
-
     def to_json_dict(self) -> dict:
         return {
             "method": self.method_id,
@@ -208,6 +175,7 @@ def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MO
 
     Costs depend on the model's weights; the max intermediate magnitude is
     model-independent (largest |operand or result| appearing in any step).
+    A mean cost too large for a float raises ValueError.
     """
     if ids is None:
         ids = method_ids()
@@ -220,13 +188,9 @@ def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MO
             res = _cached_eval(desc.func, y)
             costs.append(model.cost(res.trace))
             magnitude = max(magnitude, res.trace.max_magnitude())
-        rows.append(
-            CostReportRow(
-                method_id=mid,
-                min_cost=min(costs),
-                max_cost=max(costs),
-                mean_cost=sum(costs) / len(costs),  # what statistics.fmean gives for ints
-                max_magnitude=magnitude,
-            )
-        )
+        try:
+            mean = sum(costs) / len(costs)  # what statistics.fmean gives for ints
+        except OverflowError:  # a weight of about 1e306 or more
+            raise ValueError(f"mean cost of {mid} under model {echo(model.name)} is too large for a float") from None
+        rows.append(CostReportRow(mid, min(costs), max(costs), mean, magnitude))
     return rows

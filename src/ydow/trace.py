@@ -81,6 +81,7 @@ class StepTrace(Record):
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[Step, ...] = ()):
+        # A direct store, not Record.__init__: every method evaluation builds one.
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -131,7 +132,7 @@ class StepTrace(Record):
     def to_jsonable(self) -> list[dict]:
         return [
             {
-                "kind": s.kind.value,
+                "kind": s.kind._value_,  # a plain attribute; Enum's .value is a Python-level property
                 "description": s.description,
                 "operands": list(s.operands),
                 "result": s.result,
@@ -181,8 +182,7 @@ class CostModel(Record):
             if w < 0:
                 raise ValueError(f"negative weight for {kind.value}: {echo(w)}")
             checked[kind] = w
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "weights", MappingProxyType(checked))
+        super().__init__(name, MappingProxyType(checked))
 
     def __hash__(self) -> int:
         return hash((self.name,))

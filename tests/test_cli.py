@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ydow
@@ -292,8 +292,9 @@ def test_cost_missing_model_exits_2(capsys, tmp_path):
         ('{"weights": {"halve": -1}}', "negative weight for halve"),
         ('{"weights": {"guess": 1}}', "'guess' is not a valid StepKind"),
         ("[" * 100_000, "': JSON nested too deeply to read"),
+        ('{"weights": {"halve": 1' + "0" * 400 + "}}", "mean cost of odd11 under model"),
     ],
-    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind", "deep"],
+    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind", "deep", "huge"],
 )
 def test_cost_bad_model_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "model.json"
@@ -358,15 +359,115 @@ def test_long_integer_options_are_capped(capsys, argv, message):
     assert message in _capped_error_line(*run(capsys, *argv))
 
 
-@given(st.text())
-def test_any_date_text_answers_or_fails_in_one_capped_line(text):
+def _answers_or_fails_in_one_capped_line(argv):
+    """Run main(argv): it answers, or ydow fails in one capped `error:` line with exit 2.
+
+    Argparse's own usage errors (and --help) raise SystemExit from
+    parse_args, before ydow sees the input; they are out of scope here.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["dow", f"--date={text}"])
-    if code == 0:
-        assert err.getvalue() == ""
-    else:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2)
+            return
+    if code == 2:
         _capped_error_line(code, out.getvalue(), err.getvalue())
+    else:
+        # exit 1 is a formula that cannot be derived (verify passes shipped)
+        assert code == 0 or (code == 1 and argv[0] == "derive")
+        assert err.getvalue() == ""
+
+
+@given(st.text())
+def test_any_date_text_answers_or_fails_in_one_capped_line(text):
+    _answers_or_fails_in_one_capped_line(["dow", f"--date={text}"])
+
+
+# Arbitrary text for option values and stray arguments.  None starts with
+# "--m": argparse takes an abbreviation, and "--mo" would give `cost` a
+# --model path of arbitrary text, which could name a file that never ends
+# (json.load on /dev/zero does not return).  Model files come from
+# MODEL_FILES instead, written under tmp_path.
+ANY_TEXT = st.text().filter(lambda t: not t.startswith("--m"))
+INTS = st.one_of(st.integers(-200, 200), st.integers(), st.integers(-(10**4000), 10**4000)).map(str)
+METHOD = st.sampled_from(list(METHODS))
+DATES = st.one_of(
+    st.dates(datetime.date(1, 1, 1)).map(datetime.date.isoformat),
+    st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fullmatch=True),
+)
+
+# Each subcommand's options: a strategy for a value that argparse accepts
+# (ydow may still refuse it), or None for a flag.
+SUBCOMMAND_OPTIONS = {
+    "compute": {"--year": INTS, "--method": METHOD, "--json": None},
+    "explain": {"--year": INTS, "--method": METHOD, "--json": None},
+    "verify": {"--method": METHOD, "--all": None, "--json": None},
+    "derive": {"--divisor": INTS, "--sign": st.sampled_from(["pos", "neg"]), "--json": None},
+    "table": {"--method": METHOD, "--format": st.sampled_from(["csv", "json"])},
+    "cost": {"--method": METHOD, "--all": None, "--format": st.sampled_from(["csv", "json"])},
+    "dow": {
+        "--date": DATES,
+        "--method": METHOD,
+        "--pipeline": st.sampled_from([pl.value for pl in PipelineId]),
+        "--proleptic": None,
+        "--explain": None,
+        "--json": None,
+    },
+}
+
+
+OFTEN = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def subcommand_argv(draw, command):
+    """The options in any order, each given 3 times in 4, its value arbitrary
+    text 1 time in 4; 1 time in 4, a stray argument of arbitrary text."""
+    pairs = []
+    for flag, values in SUBCOMMAND_OPTIONS[command].items():
+        if draw(OFTEN):
+            pairs.append([flag] if values is None else [flag, draw(values if draw(OFTEN) else ANY_TEXT)])
+    if ["--all"] in pairs and draw(OFTEN):  # --all and --method exclude each other
+        pairs.remove(["--all"])
+    if not draw(OFTEN):
+        pairs.append([draw(ANY_TEXT)])
+    return [command] + [token for pair in draw(st.permutations(pairs)) for token in pair]
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner), st.dictionaries(st.text(), inner)),
+    max_leaves=8,
+)
+MODEL_FILES = st.one_of(
+    st.text(),
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "name": JSON_VALUES,
+            "weights": st.dictionaries(
+                st.one_of(st.sampled_from([k.value for k in StepKind]), st.text()),
+                st.one_of(st.integers(0, 10**400), JSON_VALUES),
+            ),
+        },
+    ).map(json.dumps),
+)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_OPTIONS))
+# tmp_path is shared by the examples of one run, which is what is wanted here
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_answers_or_fails_in_one_capped_line(command, tmp_path, data):
+    argv = data.draw(subcommand_argv(command))
+    if command == "cost" and data.draw(st.booleans()):
+        path = tmp_path / "model.json"  # rewritten by every example that draws one
+        path.write_text(data.draw(MODEL_FILES), encoding="utf-8")
+        argv += ["--model", str(path)]
+    _answers_or_fails_in_one_capped_line(argv)
 
 
 def test_dow_text(capsys):

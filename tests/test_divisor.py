@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from ydow._record import ECHO_LIMIT
 from ydow.arith import SignConvention, mod7, year_share
 from ydow.divisor import (
     BUILTIN_DIVISOR_SPECS,
@@ -11,6 +14,7 @@ from ydow.divisor import (
     divmod_split,
     eval_divisor,
 )
+from ydow.trace import StepKind
 
 POS = SignConvention.POSITIVE
 NEG = SignConvention.NEGATIVE
@@ -48,6 +52,24 @@ def test_formula_text():
     assert BUILTIN_DIVISOR_SPECS[12].formula() == "q + r + floor(r/4)"
     assert BUILTIN_DIVISOR_SPECS[16].formula() == "-q + r + floor(r/4)"
     assert BUILTIN_DIVISOR_SPECS[17].formula() == "r + floor((q + r)/4)"
+
+
+def test_formula_is_the_text_its_trace_names():
+    # every spec of the grid; the floor term and the last running sum of
+    # the trace are written exactly as formula() writes them
+    grid = range(-2, 3)
+    for cq, cr, iq, ir, cf in itertools.product(grid, grid, grid, grid, (-1, 1)):
+        spec = DivisorSpec(7, POS, cq, cr, cf, iq, ir)
+        text = spec.formula()
+        steps = eval_divisor(spec, 37).trace.steps
+        (floor_step,) = [s for s in steps if s.kind is StepKind.QUARTER_FLOOR]
+        assert floor_step.description.split(" = ")[0] in text, (spec, text)
+        if steps[-1].kind in (StepKind.ADD_CONST, StepKind.SUB_CONST):
+            assert steps[-1].description.startswith(f"{text}: "), (spec, text)
+    degenerate = DivisorSpec(7, POS, 1, 1, 1, 0, 0)
+    assert degenerate.formula() == "q + r + floor(0/4)"
+    assert eval_divisor(degenerate, 37).trace.steps[1].description == "floor(0/4) = floor(0/4) = 0"
+    assert DivisorSpec(7, POS, 0, 0, 0, 0, 0).formula() == "0"
 
 
 def test_to_json_dict_keys():
@@ -157,3 +179,27 @@ def test_spec_validation():
         DivisorSpec(1, POS, 1, 1, 0, 0, 0)
     with pytest.raises(ValueError):
         DivisorSpec(5, POS, 1, 1, 2, 0, 1)
+
+
+def test_sign_convention_given_as_text():
+    # "pos" and "neg" mean the members they name, once converted
+    for conv in (POS, NEG):
+        spec = derive_divisor_formula(11, conv.value)
+        assert spec == derive_divisor_formula(11, conv) and spec.convention is conv
+    assert derive_divisor_formula(11, "pos").formula() == "r + floor((-q + r)/4)"
+    spec = DivisorSpec(11, "pos", 0, 1, 1, -1, 1)
+    assert spec == BUILTIN_DIVISOR_SPECS[11] and spec.convention is POS
+    assert [eval_divisor(spec, y).residue for y in range(100)] == [year_share(y) for y in range(100)]
+    assert spec._replace(convention="neg").convention is NEG
+
+
+@pytest.mark.parametrize(
+    "value", ["x", "POS", "positive", 1, None, ["pos"], "p" * 5000],
+    ids=["x", "POS", "positive", "int", "None", "list", "long"],
+)
+def test_unknown_sign_convention_is_rejected(value):
+    with pytest.raises(ValueError, match="is not a valid SignConvention") as exc:
+        derive_divisor_formula(11, value)
+    assert len(str(exc.value)) < 2 * ECHO_LIMIT
+    with pytest.raises(ValueError, match="is not a valid SignConvention"):
+        DivisorSpec(11, value, 0, 1, 1, -1, 1)

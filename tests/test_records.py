@@ -1,8 +1,9 @@
 """The nine record types behave as the frozen dataclasses they replace did.
 
-Each case pins the dataclass repr, equality only within the class, the hash
-of the field tuple, immutability, copy and pickle, and `_replace`.  The
-last test keeps the modules the records let `import ydow` skip out of it.
+Each case pins the constructor (fields in `__slots__` order, by position or
+by name), the dataclass repr, equality only within the class, the hash of
+the field tuple, immutability, copy and pickle, and `_replace`.  The last
+test keeps the modules the records let `import ydow` skip out of it.
 """
 
 import copy
@@ -80,6 +81,33 @@ IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
 
 def fields_of(rec):
     return tuple(getattr(rec, name) for name in rec.__slots__)
+
+
+@pytest.mark.parametrize("make, text, change", CASES, ids=IDS)
+def test_fields_by_position_or_by_name(make, text, change):
+    rec = make()
+    cls, names, values = type(rec), rec.__slots__, fields_of(rec)
+    for k in range(len(names) + 1):  # the first k fields by position, the rest by name
+        assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) == rec
+
+
+@pytest.mark.parametrize("make, text, change", CASES, ids=IDS)
+def test_missing_extra_unknown_or_repeated_fields_raise(make, text, change):
+    rec = make()
+    cls, names, values = type(rec), rec.__slots__, fields_of(rec)
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match="no_such_field"):
+        cls(*values, no_such_field=1)
+    for i, name in enumerate(names):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            cls(*values, **{name: values[i]})
+        rest = {n: v for n, v in zip(names, values) if n != name}
+        if cls in (StepTrace, CostModel):  # every field of these has a default
+            assert getattr(cls(**rest), name) == getattr(cls(), name)
+        else:
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                cls(**rest)
 
 
 @pytest.mark.parametrize("make, text, change", CASES, ids=IDS)
