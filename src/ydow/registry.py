@@ -8,6 +8,12 @@ day-of-week pipeline) finds methods through it and reads results through
 one cache keyed on the method's function, so a method is fully described by
 one descriptor plus one function returning a ShareResult.
 
+`verify_method` and `cost_report` summarise all hundred years of a method.
+The summaries are memoised, in bounded caches, per method function (and,
+for costs, per equal cost model), as the results themselves are: a repeated
+report is one lookup per method, and a swapped registry entry never shares
+the summary of the function it replaced.
+
 The descriptor and the report rows (`VerificationFailure`,
 `VerificationReport`, `CostReportRow`) are immutable records (see
 `_record`): each compares equal only to its own class, hashes by its fields
@@ -94,7 +100,7 @@ def method_ids() -> list[str]:
 def get_method(method_id: str) -> MethodDescriptor:
     try:
         return METHODS[method_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         known = ", ".join(METHODS)
         raise UnknownMethodError(f"unknown method {echo(method_id)} (known: {known})") from None
 
@@ -137,20 +143,31 @@ class VerificationReport(Record):
         }
 
 
+# How many summaries each report memo keeps: every method under eighteen
+# cost models.  Past it the least recently used summary is dropped, so
+# functions and models swapped in and out cannot grow the memos.
+_MAX_SUMMARIES = 256
+
+
+@lru_cache(maxsize=_MAX_SUMMARIES)
+def _failures(func: Callable[[int], ShareResult]) -> tuple[VerificationFailure, ...]:
+    # Keyed on the function object, as _cached_eval is.
+    failures = []
+    for y in range(100):
+        expected = year_share(y)
+        got = _cached_eval(func, y).residue
+        if got != expected:
+            failures.append(VerificationFailure(y, expected, got))
+    return tuple(failures)
+
+
 def verify_method(method_id: str) -> VerificationReport:
     """Check a method against the reference share for every y in [0, 99].
 
     Comparison is on normalized residues: any raw value in the right mod-7
     class passes.  Mismatches come back as data, never as exceptions.
     """
-    desc = get_method(method_id)
-    failures = []
-    for y in range(100):
-        expected = year_share(y)
-        got = _cached_eval(desc.func, y).residue
-        if got != expected:
-            failures.append(VerificationFailure(y, expected, got))
-    return VerificationReport(method_id, 100, tuple(failures))
+    return VerificationReport(method_id, 100, _failures(get_method(method_id).func))
 
 
 def verify_all() -> list[VerificationReport]:
@@ -170,6 +187,22 @@ class CostReportRow(Record):
         }
 
 
+@lru_cache(maxsize=_MAX_SUMMARIES)
+def _cost_summary(func: Callable[[int], ShareResult], model: CostModel) -> tuple[int, int, int, int]:
+    """(min cost, max cost, total cost, max magnitude) over the hundred years.
+
+    Models that compare equal share an entry; models that merely hash alike
+    (CostModel hashes its name only) do not.
+    """
+    costs = []
+    magnitude = 0
+    for y in range(100):
+        trace = _cached_eval(func, y).trace
+        costs.append(model.cost(trace))
+        magnitude = max(magnitude, trace.max_magnitude())
+    return min(costs), max(costs), sum(costs), magnitude
+
+
 def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MODEL) -> list[CostReportRow]:
     """Trace-cost statistics over all hundred years, per method.
 
@@ -181,16 +214,10 @@ def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MO
         ids = method_ids()
     rows = []
     for mid in ids:
-        desc = get_method(mid)
-        costs = []
-        magnitude = 0
-        for y in range(100):
-            res = _cached_eval(desc.func, y)
-            costs.append(model.cost(res.trace))
-            magnitude = max(magnitude, res.trace.max_magnitude())
+        lo, hi, total, magnitude = _cost_summary(get_method(mid).func, model)
         try:
-            mean = sum(costs) / len(costs)  # what statistics.fmean gives for ints
+            mean = total / 100  # what statistics.fmean gives for ints
         except OverflowError:  # a weight of about 1e306 or more
             raise ValueError(f"mean cost of {mid} under model {echo(model.name)} is too large for a float") from None
-        rows.append(CostReportRow(mid, min(costs), max(costs), mean, magnitude))
+        rows.append(CostReportRow(mid, lo, hi, mean, magnitude))
     return rows

@@ -161,16 +161,18 @@ DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
 class CostModel(Record):
     """Weights one unit of mental effort per step kind.
 
-    Every key must name a StepKind (a member or its value) and every weight
-    must be a nonnegative int (a bool is not); anything else raises
-    ValueError.  The model keeps a read-only copy of the weights, keyed on
-    StepKind, so no caller can reprice a shared model after the fact.  Equal
-    models hash equal; the hash reads the name only.
+    The name must be a str, every key must name a StepKind (a member or its
+    value) and every weight must be a nonnegative int (a bool is not);
+    anything else raises ValueError.  The model keeps a read-only copy of
+    the weights, keyed on StepKind, so no caller can reprice a shared model
+    after the fact.  Equal models hash equal; the hash reads the name only.
     """
 
     __slots__ = ("name", "weights")
 
     def __init__(self, name: str = "default", weights: Mapping[StepKind, int] = DEFAULT_WEIGHTS):
+        if not isinstance(name, str):
+            raise ValueError(f"cost model name must be a string, got {echo(name)}")
         checked = {}
         for key, w in weights.items():
             try:

@@ -1,12 +1,19 @@
+import re
+from functools import partial
+
 import pytest
 
+from ydow import registry
 from ydow.arith import SignConvention, mod7, normalize, year_share
+from ydow.dates import CivilDate
+from ydow.pipeline import dow
 from ydow.registry import (
     METHODS,
     CostReportRow,
     MethodCategory,
     MethodDescriptor,
     UnknownMethodError,
+    VerificationFailure,
     cost_report,
     evaluate,
     get_method,
@@ -61,6 +68,22 @@ def test_descriptor_convention_matches_function_output():
 def test_get_method_unknown():
     with pytest.raises(UnknownMethodError):
         get_method("zeller")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        get_method,
+        lambda mid: evaluate(mid, 5),
+        lambda mid: dow(CivilDate(2000, 1, 1), mid),
+        verify_method,
+        lambda mid: cost_report([mid]),
+    ],
+    ids=["get_method", "evaluate", "dow", "verify_method", "cost_report"],
+)
+def test_unhashable_ids_are_unknown_methods(call):
+    with pytest.raises(UnknownMethodError, match="^" + re.escape("unknown method ['x'] (known: odd11, parity3,")):
+        call(["x"])
 
 
 def test_evaluate_dispatch_and_cache():
@@ -157,3 +180,46 @@ def test_cost_report_respects_model():
     rows = cost_report(["wang"], free)
     assert rows[0].min_cost == rows[0].max_cost == 0
     assert rows[0].mean_cost == 0.0
+
+
+def _one_more_at(func, bad_y, y):
+    """func's share, except one more for y == bad_y, with a step that adds it."""
+    share = func(y)
+    if y != bad_y:
+        return share
+    raw = share.raw + 1
+    step = Step(StepKind.ADD_CONST, f"add one: {share.raw} + 1 = {raw}", (share.raw, 1), raw)
+    return normalize(raw, share.convention, StepTrace(share.trace.steps + (step,)))
+
+
+def test_swapped_method_gets_fresh_reports(monkeypatch):
+    desc = METHODS["div11"]
+
+    def reports():
+        return verify_method("div11"), cost_report(["div11"])
+
+    before = reports()
+    with monkeypatch.context() as m:
+        m.setitem(METHODS, "div11", desc._replace(func=partial(_one_more_at, desc.func, 37)))
+        report, rows = reports()
+    assert reports() == before
+
+    want = year_share(37)
+    assert report.failures == (VerificationFailure(37, want, (want + 1) % 7),)
+    assert rows == [CostReportRow("div11", 9, 10, 9.01, 99)]
+    assert before[1] == [CostReportRow("div11", 9, 9, 9.0, 99)]
+
+
+def test_report_memos_stay_bounded(monkeypatch):
+    bound = registry._MAX_SUMMARIES
+    desc = METHODS["odd11"]
+    for _ in range(bound + 5):
+        # a new function object each time, as a caller swapping entries makes
+        monkeypatch.setitem(METHODS, "odd11", desc._replace(func=partial(desc.func)))
+        assert verify_method("odd11").passed
+        assert cost_report(["odd11"]) == [CostReportRow("odd11", 4, 4, 4.0, 110)]
+        assert registry._failures.cache_info().currsize <= bound
+        assert registry._cost_summary.cache_info().currsize <= bound
+    monkeypatch.undo()
+    assert all(r.passed for r in verify_all())
+    assert cost_report(["odd11"]) == [CostReportRow("odd11", 4, 4, 4.0, 110)]

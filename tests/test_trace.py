@@ -125,18 +125,19 @@ def test_load_cost_model_rejects_unknown_kind(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "weights, message",
+    "name, weights, message",
     [
-        ({StepKind.HALVE: 1.5}, "weight for 'halve' must be an integer, got 1.5"),
-        ({StepKind.HALVE: True}, "weight for 'halve' must be an integer, got True"),
-        ({StepKind.HALVE: "2"}, "weight for 'halve' must be an integer, got '2'"),
-        ({"telepathy": 1}, "'telepathy' is not a valid StepKind"),
+        ("bad", {StepKind.HALVE: 1.5}, "weight for 'halve' must be an integer, got 1.5"),
+        ("bad", {StepKind.HALVE: True}, "weight for 'halve' must be an integer, got True"),
+        ("bad", {StepKind.HALVE: "2"}, "weight for 'halve' must be an integer, got '2'"),
+        ("bad", {"telepathy": 1}, "'telepathy' is not a valid StepKind"),
+        (["n"], DEFAULT_WEIGHTS, "cost model name must be a string, got ['n']"),
     ],
-    ids=["float", "bool", "string", "unknown-kind"],
+    ids=["float", "bool", "string", "unknown-kind", "list-name"],
 )
-def test_cost_model_rejects_bad_weights(weights, message):
+def test_cost_model_rejects_bad_weights(name, weights, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        CostModel("bad", weights)
+        CostModel(name, weights)
 
 
 def test_cost_model_keys_weights_on_step_kind():

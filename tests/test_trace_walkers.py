@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from ydow import registry
 from ydow.arith import ShareResult, SignConvention, floor_div, mod7, normalize
 from ydow.dates import CivilDate
 from ydow.divisor import NotRepresentableError, derive_divisor_formula, eval_divisor
@@ -223,6 +224,31 @@ def test_cost_model_weights_are_read_only():
     with pytest.raises(TypeError):
         DEFAULT_WEIGHTS[StepKind.HALVE] = 50
     assert {r.method_id: r.max_cost for r in cost_report(["odd11"])} == {"odd11": 4}
+
+
+@pytest.mark.parametrize("heavy_first", [True, False], ids=["heavy-first", "default-first"])
+def test_equal_named_models_do_not_share_a_summary(monkeypatch, heavy_first):
+    # the cost memo is keyed on the model; these two collide by hash only
+    heavy = CostModel("default", {**DEFAULT_WEIGHTS, StepKind.HALVE: 50})
+    assert hash(heavy) == hash(DEFAULT_COST_MODEL) and heavy != DEFAULT_COST_MODEL
+    runs = [(heavy, 52), (DEFAULT_COST_MODEL, 4)]
+    if not heavy_first:
+        runs.reverse()
+    registry._cost_summary.cache_clear()
+    for model, want in runs:
+        assert [r.max_cost for r in cost_report(["odd11"], model)] == [want]
+    assert [r._astuple() for r in cost_report()] == GOLDEN_COST_REPORT
+
+    priced = []
+    real_cost = CostModel.cost
+
+    def counting_cost(self, trace):
+        priced.append(trace)
+        return real_cost(self, trace)
+
+    monkeypatch.setattr(CostModel, "cost", counting_cost)
+    assert [r._astuple() for r in cost_report()] == GOLDEN_COST_REPORT
+    assert priced == []  # the second report was served from the memo
 
 
 def test_cost_model_copies_the_weights_it_is_given():
