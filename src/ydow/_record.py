@@ -1,5 +1,9 @@
 """Immutable slotted records, and the bounded echo of values in error messages.
 
+`echo` is the capped repr every error message uses for a value it repeats;
+`member` turns a value into an Enum member, or raises the one "is not a
+valid" ValueError, through `echo`, that every enum-typed input shares.
+
 `Record` gives ydow's record types what a frozen dataclass gave them, without
 importing `dataclasses` or paying for its class creation at import time.  A
 subclass lists its fields in `__slots__`; the base derives from them:
@@ -90,3 +94,11 @@ def echo(value: object) -> str:
     except (RecursionError, ValueError):  # nested too deeply, or an int past str()'s digit limit
         return f"<{value.__class__.__name__} too large to show>"
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
+def member(enum, value):
+    """enum(value): the member itself or the member with that value; anything else raises ValueError."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"{echo(value)} is not a valid {enum.__name__}") from None

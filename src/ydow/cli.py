@@ -97,9 +97,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    sign = SignConvention(args.sign)
     try:
-        spec = derive_divisor_formula(args.divisor, sign)
+        spec = derive_divisor_formula(args.divisor, args.sign)
     except NotRepresentableError as exc:
         if args.json:
             _emit_json({"d": args.divisor, "sign": args.sign, "error": str(exc)})
@@ -109,7 +108,7 @@ def cmd_derive(args) -> int:
     if args.json:
         _emit_json(spec.to_json_dict())
         return 0
-    label = "positive" if sign is SignConvention.POSITIVE else "negative"
+    label = "positive" if spec.convention is SignConvention.POSITIVE else "negative"
     print(f"d={spec.d}, {label} share: {spec.formula()}")
     return 0
 
@@ -146,7 +145,7 @@ def cmd_dow(args) -> int:
     result = dow(
         date,
         method_id=args.method,
-        pipeline=PipelineId(args.pipeline),
+        pipeline=args.pipeline,
         proleptic=args.proleptic,
         with_trace=args.explain,
     )

@@ -29,7 +29,7 @@ so `cost --model` with a `halve` weight would report a different cost.
 
 from __future__ import annotations
 
-from ._record import Record, echo
+from ._record import Record, echo, member
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import (
     ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step,
@@ -54,7 +54,8 @@ class DivisorSpec(_Planned):
     Value at y = d*q + r is coef_q*q + coef_r*r +
     coef_floor * floor((inner_q*q + inner_r*r) / 4), interpreted under the
     spec's sign convention, a SignConvention member or its value ("pos" or
-    "neg").
+    "neg").  The divisor and the five coefficients must be ints (a bool is
+    not); anything else raises ValueError before any range is checked.
     """
 
     __slots__ = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
@@ -63,11 +64,14 @@ class DivisorSpec(_Planned):
         self, d: int, convention: SignConvention | str, coef_q: int, coef_r: int, coef_floor: int, inner_q: int,
         inner_r: int,
     ):
+        _check_int("divisor", d)
+        for name, value in zip(self.__slots__[2:], (coef_q, coef_r, coef_floor, inner_q, inner_r)):
+            _check_int(name, value)
         if d < 2:
             raise ValueError(f"divisor must be >= 2, got {echo(d)}")
         if coef_floor not in (-1, 0, 1):
             raise ValueError(f"floor coefficient must be -1, 0 or 1, got {echo(coef_floor)}")
-        super().__init__(d, _sign_convention(convention), coef_q, coef_r, coef_floor, inner_q, inner_r)
+        super().__init__(d, member(SignConvention, convention), coef_q, coef_r, coef_floor, inner_q, inner_r)
         object.__setattr__(self, "_plan", _compile_plan(coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
@@ -93,12 +97,9 @@ class DivisorSpec(_Planned):
         }
 
 
-def _sign_convention(value: SignConvention | str) -> SignConvention:
-    """A SignConvention member from itself or its value; anything else raises ValueError."""
-    try:
-        return SignConvention(value)
-    except ValueError:
-        raise ValueError(f"{echo(value)} is not a valid SignConvention") from None
+def _check_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {echo(value)}")
 
 
 def _append_term(text: str, coef: int, sym: str) -> str:
@@ -223,9 +224,10 @@ def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorS
     minimizing max(|a|, |b|), breaking ties toward smaller |a|.  The
     negative-share spec is the termwise negation of the positive one.
     """
+    _check_int("divisor", d)
     if not 2 <= d <= 28:
         raise ValueError(f"divisor must be in [2, 28], got {echo(d)}")
-    convention = _sign_convention(convention)
+    convention = member(SignConvention, convention)
     target = (5 * d) % 28
     candidates = []
     for b in (-1, 0, 1):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from ._record import echo
+from ._record import member
 from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _cached_eval, get_method
@@ -51,16 +51,15 @@ class PipelineId(str, Enum):
 
 GREGORIAN_START_YEAR = 1583
 
-# Anchor-date of each month: the day-of-month sharing the year's anchor
-# weekday.  January and February shift in leap years.
-_ANCHOR_DATES = {1: 3, 2: 28, 3: 14, 4: 4, 5: 9, 6: 6, 7: 11, 8: 8, 9: 5, 10: 10, 11: 7, 12: 12}
-_ANCHOR_DATES_LEAP = {1: 4, 2: 29}
+# The one month table: each month's anchor date, the day of the month that
+# falls on the year's doomsday, indexed [leap][month] with index 0 unused.
+# The rows differ only in January and February, a day later in leap years.
+_MONTH_ANCHORS = ((0, 3, 28, 14, 4, 9, 6, 11, 8, 5, 10, 7, 12),
+                  (0, 4, 29, 14, 4, 9, 6, 11, 8, 5, 10, 7, 12))
 
 
 def month_anchor_date(month: int, leap: bool) -> int:
-    if leap and month in _ANCHOR_DATES_LEAP:
-        return _ANCHOR_DATES_LEAP[month]
-    return _ANCHOR_DATES[month]
+    return _MONTH_ANCHORS[leap][month]
 
 
 def century_anchor(century: int) -> int:
@@ -68,11 +67,9 @@ def century_anchor(century: int) -> int:
     return (5 * (century % 4) + 2) % 7
 
 
-# Tables built once from the functions above.  The century anchor repeats
-# every four centuries; month anchor dates are indexed [is_leap(year)][month],
-# with index 0 unused, and _MONTH_ANCHOR_ROWS picks the row by year % 400.
+# Tables built once from the above.  The century anchor repeats every four
+# centuries; _MONTH_ANCHOR_ROWS picks the month table's row by year % 400.
 _CENTURY_ANCHORS = tuple(century_anchor(c) for c in range(4))
-_MONTH_ANCHORS = tuple((0, *(month_anchor_date(m, leap) for m in range(1, 13))) for leap in (False, True))
 _MONTH_ANCHOR_ROWS = tuple(_MONTH_ANCHORS[is_leap(y4)] for y4 in range(400))
 
 # Method function -> its year doomsdays by year % 400, None until first used.
@@ -110,10 +107,7 @@ def dow(
     """
     desc = get_method(method_id)  # fail fast on unknown ids
     if pipeline.__class__ is not PipelineId:
-        try:
-            pipeline = PipelineId(pipeline)
-        except ValueError:
-            raise ValueError(f"{echo(pipeline)} is not a valid PipelineId") from None
+        pipeline = member(PipelineId, pipeline)
     year = date.year
     if year < GREGORIAN_START_YEAR and not proleptic:
         raise CalendarPolicyError(

@@ -9,10 +9,11 @@ one cache keyed on the method's function, so a method is fully described by
 one descriptor plus one function returning a ShareResult.
 
 `verify_method` and `cost_report` summarise all hundred years of a method.
-The summaries are memoised, in bounded caches, per method function (and,
-for costs, per equal cost model), as the results themselves are: a repeated
-report is one lookup per method, and a swapped registry entry never shares
-the summary of the function it replaced.
+Bounded memos hold the finished report records themselves, one per method
+id and function (and, for costs, per equal cost model), keyed on the
+function as the results are: a repeated report is one lookup per method
+that builds no record, and a swapped registry entry never shares the
+report of the function it replaced.
 
 The descriptor and the report rows (`VerificationFailure`,
 `VerificationReport`, `CostReportRow`) are immutable records (see
@@ -143,14 +144,14 @@ class VerificationReport(Record):
         }
 
 
-# How many summaries each report memo keeps: every method under eighteen
-# cost models.  Past it the least recently used summary is dropped, so
+# How many records each report memo keeps: every method under eighteen
+# cost models.  Past it the least recently used record is dropped, so
 # functions and models swapped in and out cannot grow the memos.
 _MAX_SUMMARIES = 256
 
 
 @lru_cache(maxsize=_MAX_SUMMARIES)
-def _failures(func: Callable[[int], ShareResult]) -> tuple[VerificationFailure, ...]:
+def _verification(method_id: str, func: Callable[[int], ShareResult]) -> VerificationReport:
     # Keyed on the function object, as _cached_eval is.
     failures = []
     for y in range(100):
@@ -158,7 +159,7 @@ def _failures(func: Callable[[int], ShareResult]) -> tuple[VerificationFailure, 
         got = _cached_eval(func, y).residue
         if got != expected:
             failures.append(VerificationFailure(y, expected, got))
-    return tuple(failures)
+    return VerificationReport(method_id, 100, tuple(failures))
 
 
 def verify_method(method_id: str) -> VerificationReport:
@@ -167,7 +168,7 @@ def verify_method(method_id: str) -> VerificationReport:
     Comparison is on normalized residues: any raw value in the right mod-7
     class passes.  Mismatches come back as data, never as exceptions.
     """
-    return VerificationReport(method_id, 100, _failures(get_method(method_id).func))
+    return _verification(method_id, get_method(method_id).func)
 
 
 def verify_all() -> list[VerificationReport]:
@@ -188,11 +189,12 @@ class CostReportRow(Record):
 
 
 @lru_cache(maxsize=_MAX_SUMMARIES)
-def _cost_summary(func: Callable[[int], ShareResult], model: CostModel) -> tuple[int, int, int, int]:
-    """(min cost, max cost, total cost, max magnitude) over the hundred years.
+def _cost_row(method_id: str, func: Callable[[int], ShareResult], model: CostModel) -> CostReportRow:
+    """The method's cost row over the hundred years.
 
     Models that compare equal share an entry; models that merely hash alike
-    (CostModel hashes its name only) do not.
+    (CostModel hashes its name only) do not.  lru_cache stores no
+    exception, so a mean too large for a float raises on every call.
     """
     costs = []
     magnitude = 0
@@ -200,7 +202,11 @@ def _cost_summary(func: Callable[[int], ShareResult], model: CostModel) -> tuple
         trace = _cached_eval(func, y).trace
         costs.append(model.cost(trace))
         magnitude = max(magnitude, trace.max_magnitude())
-    return min(costs), max(costs), sum(costs), magnitude
+    try:
+        mean = sum(costs) / 100  # what statistics.fmean gives for ints
+    except OverflowError:  # a weight of about 1e306 or more
+        raise ValueError(f"mean cost of {method_id} under model {echo(model.name)} is too large for a float") from None
+    return CostReportRow(method_id, min(costs), max(costs), mean, magnitude)
 
 
 def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MODEL) -> list[CostReportRow]:
@@ -212,12 +218,4 @@ def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MO
     """
     if ids is None:
         ids = method_ids()
-    rows = []
-    for mid in ids:
-        lo, hi, total, magnitude = _cost_summary(get_method(mid).func, model)
-        try:
-            mean = total / 100  # what statistics.fmean gives for ints
-        except OverflowError:  # a weight of about 1e306 or more
-            raise ValueError(f"mean cost of {mid} under model {echo(model.name)} is too large for a float") from None
-        rows.append(CostReportRow(mid, lo, hi, mean, magnitude))
-    return rows
+    return [_cost_row(mid, get_method(mid).func, model) for mid in ids]

@@ -28,7 +28,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._record import Record, echo
+from ._record import Record, echo, member
 from .arith import floor_div
 
 
@@ -175,10 +175,7 @@ class CostModel(Record):
             raise ValueError(f"cost model name must be a string, got {echo(name)}")
         checked = {}
         for key, w in weights.items():
-            try:
-                kind = StepKind(key)
-            except ValueError:
-                raise ValueError(f"{echo(key)} is not a valid StepKind") from None
+            kind = member(StepKind, key)
             if not isinstance(w, int) or isinstance(w, bool):
                 raise ValueError(f"weight for {kind.value!r} must be an integer, got {echo(w)}")
             if w < 0:

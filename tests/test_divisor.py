@@ -172,6 +172,11 @@ def test_derive_rejects_out_of_range_divisor():
         derive_divisor_formula(1, POS)
     with pytest.raises(ValueError):
         derive_divisor_formula(29, POS)
+    # not an int: refused before the range check, the value echoed
+    for d, shown in [(5.0, "5.0"), (1.0, "1.0"), (True, "True"), ("7", "'7'"), (None, "None")]:
+        with pytest.raises(ValueError) as exc:
+            derive_divisor_formula(d, "pos")
+        assert str(exc.value) == f"divisor must be an integer, got {shown}"
 
 
 def test_spec_validation():
@@ -179,6 +184,15 @@ def test_spec_validation():
         DivisorSpec(1, POS, 1, 1, 0, 0, 0)
     with pytest.raises(ValueError):
         DivisorSpec(5, POS, 1, 1, 2, 0, 1)
+    # d and the five coefficients must be ints, not bools, checked before any range
+    fields = [5, NEG, 1, -1, -1, 1, 1]
+    names = ["divisor", None, "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r"]
+    for i in (0, 2, 3, 4, 5, 6):
+        for bad, shown in [(5.5, "5.5"), (1.0, "1.0"), (True, "True"), (False, "False"), ("7", "'7'"), (None, "None")]:
+            args = fields[:i] + [bad] + fields[i + 1:]
+            with pytest.raises(ValueError) as exc:
+                DivisorSpec(*args)
+            assert str(exc.value) == f"{names[i]} must be an integer, got {shown}"
 
 
 def test_sign_convention_given_as_text():

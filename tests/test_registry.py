@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 
 from ydow import registry
+from ydow._record import Record
 from ydow.arith import SignConvention, mod7, normalize, year_share
 from ydow.dates import CivilDate
 from ydow.pipeline import dow
@@ -218,8 +219,24 @@ def test_report_memos_stay_bounded(monkeypatch):
         monkeypatch.setitem(METHODS, "odd11", desc._replace(func=partial(desc.func)))
         assert verify_method("odd11").passed
         assert cost_report(["odd11"]) == [CostReportRow("odd11", 4, 4, 4.0, 110)]
-        assert registry._failures.cache_info().currsize <= bound
-        assert registry._cost_summary.cache_info().currsize <= bound
+        assert registry._verification.cache_info().currsize <= bound
+        assert registry._cost_row.cache_info().currsize <= bound
     monkeypatch.undo()
     assert all(r.passed for r in verify_all())
     assert cost_report(["odd11"]) == [CostReportRow("odd11", 4, 4, 4.0, 110)]
+
+
+def test_warm_reports_build_no_record(monkeypatch):
+    cold = verify_all(), cost_report()
+    built = []
+    real_init = Record.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self.__class__.__name__)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", counting_init)
+    warm = verify_all(), cost_report()
+    monkeypatch.undo()
+    assert built == []  # the memos hold the records themselves
+    assert warm == cold

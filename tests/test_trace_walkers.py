@@ -234,7 +234,7 @@ def test_equal_named_models_do_not_share_a_summary(monkeypatch, heavy_first):
     runs = [(heavy, 52), (DEFAULT_COST_MODEL, 4)]
     if not heavy_first:
         runs.reverse()
-    registry._cost_summary.cache_clear()
+    registry._cost_row.cache_clear()
     for model, want in runs:
         assert [r.max_cost for r in cost_report(["odd11"], model)] == [want]
     assert [r._astuple() for r in cost_report()] == GOLDEN_COST_REPORT
