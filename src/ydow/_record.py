@@ -2,7 +2,9 @@
 
 `echo` is the capped repr every error message uses for a value it repeats;
 `member` turns a value into an Enum member, or raises the one "is not a
-valid" ValueError, through `echo`, that every enum-typed input shares.
+valid" ValueError, through `echo`, that every enum-typed input shares;
+`check_int` raises the one "must be an integer" error that every int-typed
+input shares.
 
 `Record` gives ydow's record types what a frozen dataclass gave them, without
 importing `dataclasses` or paying for its class creation at import time.  A
@@ -11,7 +13,8 @@ subclass lists its fields in `__slots__`; the base derives from them:
 - a constructor that takes one argument per field, in `__slots__` order, by
   position or by name, and raises TypeError for a field that is missing,
   repeated or unknown;
-- the dataclass repr, `Name(field=value, ...)`;
+- the dataclass repr, `Name(field=value, ...)`, with `echo`'s fallback
+  text for a field whose repr raises;
 - `==` only between instances of the same class, over the field tuple;
 - `hash` of the field tuple;
 - assignment and deletion raising FrozenInstanceError;
@@ -57,7 +60,7 @@ class Record:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={echo(getattr(self, name), None)}" for name in self.__slots__])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self, other):
@@ -87,13 +90,17 @@ class Record:
 ECHO_LIMIT = 100
 
 
-def echo(value: object) -> str:
-    """repr(value) for an error message, cut after ECHO_LIMIT characters."""
+def echo(value: object, limit: int | None = ECHO_LIMIT) -> str:
+    """repr(value) for an error message, cut after `limit` characters (None: uncut).
+
+    A repr that raises (nested too deeply, or an int past str()'s digit
+    limit) is replaced by a short text naming the value's type.
+    """
     try:
         text = repr(value)
-    except (RecursionError, ValueError):  # nested too deeply, or an int past str()'s digit limit
+    except (RecursionError, ValueError):
         return f"<{value.__class__.__name__} too large to show>"
-    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+    return text if limit is None or len(text) <= limit else text[:limit] + "..."
 
 
 def member(enum, value):
@@ -102,3 +109,9 @@ def member(enum, value):
         return enum(value)
     except ValueError:
         raise ValueError(f"{echo(value)} is not a valid {enum.__name__}") from None
+
+
+def check_int(what: str, value: object, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` unless value is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {echo(value)}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._record import echo
+from ._record import check_int, echo
 
 if TYPE_CHECKING:
     from .trace import StepTrace
@@ -55,8 +55,8 @@ def mod7(n: int) -> int:
 def check_year2(y: int) -> int:
     """Validate a two-digit year value.  Out-of-range input is an error,
     never silently wrapped mod 100."""
-    if not isinstance(y, int) or isinstance(y, bool):
-        raise ValueError(f"two-digit year must be an integer, got {echo(y)}")
+    if y.__class__ is not int:  # an exact int skips the call: every method body checks its year
+        check_int("two-digit year", y)
     if not 0 <= y <= 99:
         raise ValueError(f"two-digit year must be in [0, 99], got {echo(y)}")
     return y

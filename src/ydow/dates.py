@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from enum import IntEnum
 
-from ._record import Record, echo
+from ._record import Record, check_int, echo
 
 
 class DateParseError(ValueError):
@@ -71,6 +71,11 @@ class CivilDate(Record):
     __slots__ = ("year", "month", "day")
 
     def __init__(self, year: int, month: int, day: int):
+        # Exact ints skip the three calls: one CivilDate is built per parsed date.
+        if year.__class__ is not int or month.__class__ is not int or day.__class__ is not int:
+            check_int("year", year, DateValidationError)
+            check_int("month", month, DateValidationError)
+            check_int("day", day, DateValidationError)
         if not 1 <= year <= MAXYEAR:
             bound = ">= 1" if year < 1 else f"<= {MAXYEAR}"
             raise DateValidationError(f"year must be {bound}, got {echo(year)}")
@@ -112,9 +117,12 @@ def parse_date(text: str) -> CivilDate:
     """Parse exactly YYYY-MM-DD, with ASCII digits 0-9 only.
 
     Structural problems raise DateParseError with the offending character
-    position; impossible dates (like a Feb 29 in a common year) raise
+    position, and a value that is not a str raises it at position 0;
+    impossible dates (like a Feb 29 in a common year) raise
     DateValidationError.
     """
+    if not isinstance(text, str):
+        raise DateParseError(f"expected YYYY-MM-DD text, got {echo(text)}", 0)
     m = _ISO_RE.fullmatch(text)
     if m is None:
         template = "dddd-dd-dd"

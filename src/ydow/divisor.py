@@ -29,7 +29,7 @@ so `cost --model` with a `halve` weight would report a different cost.
 
 from __future__ import annotations
 
-from ._record import Record, echo, member
+from ._record import Record, check_int, echo, member
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import (
     ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step,
@@ -38,6 +38,11 @@ from .trace import (
 
 class NotRepresentableError(ValueError):
     """No formula with a small inner coefficient exists for this divisor."""
+
+
+# The largest coefficient magnitude a spec takes; derived formulas stay
+# within 9, and the bound keeps every coefficient a few digits long.
+MAX_COEF = 99
 
 
 class _Planned(Record):
@@ -56,6 +61,8 @@ class DivisorSpec(_Planned):
     spec's sign convention, a SignConvention member or its value ("pos" or
     "neg").  The divisor and the five coefficients must be ints (a bool is
     not); anything else raises ValueError before any range is checked.
+    The floor coefficient is -1, 0 or 1, and the other four lie in
+    [-MAX_COEF, MAX_COEF].
     """
 
     __slots__ = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
@@ -64,13 +71,17 @@ class DivisorSpec(_Planned):
         self, d: int, convention: SignConvention | str, coef_q: int, coef_r: int, coef_floor: int, inner_q: int,
         inner_r: int,
     ):
-        _check_int("divisor", d)
-        for name, value in zip(self.__slots__[2:], (coef_q, coef_r, coef_floor, inner_q, inner_r)):
-            _check_int(name, value)
+        check_int("divisor", d)
+        coefs = tuple(zip(self.__slots__[2:], (coef_q, coef_r, coef_floor, inner_q, inner_r)))
+        for name, value in coefs:
+            check_int(name, value)
         if d < 2:
             raise ValueError(f"divisor must be >= 2, got {echo(d)}")
         if coef_floor not in (-1, 0, 1):
             raise ValueError(f"floor coefficient must be -1, 0 or 1, got {echo(coef_floor)}")
+        for name, value in coefs:
+            if not -MAX_COEF <= value <= MAX_COEF:
+                raise ValueError(f"{name} must be in [-{MAX_COEF}, {MAX_COEF}], got {echo(value)}")
         super().__init__(d, member(SignConvention, convention), coef_q, coef_r, coef_floor, inner_q, inner_r)
         object.__setattr__(self, "_plan", _compile_plan(coef_q, coef_r, coef_floor, inner_q, inner_r))
 
@@ -95,11 +106,6 @@ class DivisorSpec(_Planned):
             "delta_q": self.inner_q,
             "delta_r": self.inner_r,
         }
-
-
-def _check_int(name: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {echo(value)}")
 
 
 def _append_term(text: str, coef: int, sym: str) -> str:
@@ -224,7 +230,7 @@ def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorS
     minimizing max(|a|, |b|), breaking ties toward smaller |a|.  The
     negative-share spec is the termwise negation of the positive one.
     """
-    _check_int("divisor", d)
+    check_int("divisor", d)
     if not 2 <= d <= 28:
         raise ValueError(f"divisor must be in [2, 28], got {echo(d)}")
     convention = member(SignConvention, convention)

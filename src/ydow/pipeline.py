@@ -13,15 +13,17 @@ depends on the year only through its value mod 400, so that is a proof for
 every Gregorian date.
 
 `dow(..., with_trace=False)` is the value path.  It reads the year's
-doomsday, `(century anchor + residue) % 7`, from a 400-entry table per
-method function indexed by `year % 400`, and the month's anchor date from
-one shared 400-entry table, then applies one weekday formula,
+doomsday, `(century anchor + residue) % 7`, from the doomsday list of the
+method function's memo (`registry`'s one memo per function) indexed by
+`year % 400`, and the month's anchor date from one shared 400-entry table,
+then applies one weekday formula,
 `(doomsday + day - anchor date) % 7`, for both pipelines.  The
 First-Sunday assembly `day - ((anchor date - doomsday) % 7 or 7)` is
 congruent to it mod 7, because `s or 7` is congruent to `s`, so the
 pipeline matters only to the trace.  A doomsday entry is filled on first
-use from the method's cached residue, so the method still enters the value
-path only through `residue`.  The traced call finds its inputs the same
+use from the memo's result for the year, so the method still enters the
+value path only through `residue`, and a hit is one dict lookup and two
+list indexings.  The traced call finds its inputs the same
 way, by `year % 400`: the century anchor, the month's anchor date and the
 method's result at `year % 400 % 100`, which is `year % 100`.  It runs no
 separate weekday formula: it emits the assembly's steps and takes the
@@ -36,7 +38,7 @@ from typing import NamedTuple
 from ._record import member
 from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
-from .registry import _cached_eval, get_method
+from .registry import _MEMOS, _cached_eval, _memo, get_method
 from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step
 
 
@@ -72,14 +74,10 @@ def century_anchor(century: int) -> int:
 _CENTURY_ANCHORS = tuple(century_anchor(c) for c in range(4))
 _MONTH_ANCHOR_ROWS = tuple(_MONTH_ANCHORS[is_leap(y4)] for y4 in range(400))
 
-# Method function -> its year doomsdays by year % 400, None until first used.
-# Keyed on the function object, as _cached_eval is, so a swapped registry
-# entry gets a fresh table.  Filling lazily keeps a first sweep from paying
-# 1,400 cold evaluations.  The oldest table is dropped to stay within the
-# bound, as _cached_eval's maxsize bounds it.  A plain dict, not an
-# lru_cache around the table, because dict.get is the cheaper hit.
-_DOOMSDAYS: dict = {}
-_MAX_DOOMSDAY_TABLES = 64
+# The memo map's lookup, bound once.  CPython 3.11 compiles a method call on
+# an imported name, `_MEMOS.get(func)`, as an attribute load that builds a
+# bound method on every call; that made the value path about 10 % slower.
+_memo_get = _MEMOS.get
 
 
 class DowResult(NamedTuple):
@@ -122,14 +120,10 @@ def dow(
         trace = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
         return DowResult(date, _WEEKDAYS[trace.steps[-1].result], method_id, pipeline, trace)
 
-    table = _DOOMSDAYS.get(func)
-    if table is None:
-        if len(_DOOMSDAYS) >= _MAX_DOOMSDAY_TABLES:
-            _DOOMSDAYS.pop(next(iter(_DOOMSDAYS)), None)  # the oldest table
-        table = _DOOMSDAYS[func] = [None] * 400
-    doomsday = table[y4]
+    doomsdays = (_memo_get(func) or _memo(func))[1]
+    doomsday = doomsdays[y4]
     if doomsday is None:
-        doomsday = table[y4] = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
+        doomsday = doomsdays[y4] = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
     weekday = _WEEKDAYS[(doomsday + date.day - _MONTH_ANCHOR_ROWS[y4][date.month]) % 7]
     # tuple.__new__ is what DowResult._make does underneath: it skips the
     # NamedTuple's Python-level __new__, about half the cost of the result.

@@ -4,16 +4,17 @@ The registry, `METHODS`, is a plain dict built at import time.  Nothing in
 the package changes it, but it is not immutable: a caller (or a test
 installing a corrupted method) may replace an entry, and every lookup sees
 the change.  Everything downstream (CLI, verification, cost reports, the
-day-of-week pipeline) finds methods through it and reads results through
-one cache keyed on the method's function, so a method is fully described by
-one descriptor plus one function returning a ShareResult.
+day-of-week pipeline) finds methods through it, so a method is fully
+described by one descriptor plus one function returning a ShareResult.
 
-`verify_method` and `cost_report` summarise all hundred years of a method.
-Bounded memos hold the finished report records themselves, one per method
-id and function (and, for costs, per equal cost model), keyed on the
-function as the results are: a repeated report is one lookup per method
-that builds no record, and a swapped registry entry never shares the
-report of the function it replaced.
+What ydow computes of a method function is kept in one memo per function,
+in one bounded map keyed on the function object: the hundred results, the
+year doomsdays `pipeline.dow` reads on its value path, the
+`VerificationReport` and the `CostReportRow` of the last model priced.
+Each part is filled on first use.  A repeated report is one lookup per
+method that builds no record, a swapped registry entry never shares an
+answer of the function it replaced, and `_cached_eval.cache_clear()`
+empties the map.
 
 The descriptor and the report rows (`VerificationFailure`,
 `VerificationReport`, `CostReportRow`) are immutable records (see
@@ -24,7 +25,7 @@ and copies through `_replace`.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 from . import digits, divisor, special
@@ -50,7 +51,7 @@ class MethodDescriptor(Record):
 def _build_registry() -> dict[str, MethodDescriptor]:
     neg = SignConvention.NEGATIVE
     pos = SignConvention.POSITIVE
-    # Each partial is built once here, so _cached_eval keys on a stable object.
+    # Each partial is built once here, so the memo map keys on a stable object.
     spec = divisor.BUILTIN_DIVISOR_SPECS
     run = divisor.eval_divisor
     rows = [
@@ -103,15 +104,41 @@ def get_method(method_id: str) -> MethodDescriptor:
         return METHODS[method_id]
     except (KeyError, TypeError):  # TypeError: an unhashable id
         known = ", ".join(METHODS)
-        raise UnknownMethodError(f"unknown method {echo(method_id)} (known: {known})") from None
+        # 60, not echo's 100: with the fourteen known ids the message stays within 200 characters
+        raise UnknownMethodError(f"unknown method {echo(method_id, 60)} (known: {known})") from None
 
 
-@lru_cache(maxsize=8192)
+# The one memo map: method function -> [results by y, year doomsdays by
+# year % 400, VerificationReport, ((method_id, model), CostReportRow) of the
+# last model priced], each None until first used.  Keyed on the function
+# object itself, so a registry entry swapped out (e.g. by a test installing
+# a corrupted variant) never gets a stale answer of the function it
+# replaced.  Callers look a memo up with `_MEMOS.get(func) or _memo(func)`,
+# so a hit makes no Python-level call.  Past _MAX_MEMOS functions the
+# oldest memo is dropped, so functions swapped in and out cannot grow it.
+_MAX_MEMOS = 64
+_MEMOS: dict = {}
+
+
+def _memo(func: Callable[[int], ShareResult]) -> list:
+    """A fresh memo for func, in place of the oldest once the map is full."""
+    if len(_MEMOS) >= _MAX_MEMOS:
+        del _MEMOS[next(iter(_MEMOS))]
+    memo = _MEMOS[func] = [[None] * 100, [None] * 400, None, None]
+    return memo
+
+
 def _cached_eval(func: Callable[[int], ShareResult], y: int) -> ShareResult:
-    # Keyed on the function object itself, so a registry entry swapped out
-    # (e.g. by a test installing a corrupted variant) can never be served a
-    # stale result from the original function.
-    return func(y)
+    # y indexes a list, so it must already be in [0, 99]: evaluate checks
+    # it, and the other callers make it (range(100), year % 400 % 100).
+    results = (_MEMOS.get(func) or _memo(func))[0]
+    share = results[y]
+    if share is None:
+        share = results[y] = func(y)
+    return share
+
+
+_cached_eval.cache_clear = _MEMOS.clear
 
 
 def evaluate(method_id: str, y: int) -> ShareResult:
@@ -144,31 +171,24 @@ class VerificationReport(Record):
         }
 
 
-# How many records each report memo keeps: every method under eighteen
-# cost models.  Past it the least recently used record is dropped, so
-# functions and models swapped in and out cannot grow the memos.
-_MAX_SUMMARIES = 256
-
-
-@lru_cache(maxsize=_MAX_SUMMARIES)
-def _verification(method_id: str, func: Callable[[int], ShareResult]) -> VerificationReport:
-    # Keyed on the function object, as _cached_eval is.
-    failures = []
-    for y in range(100):
-        expected = year_share(y)
-        got = _cached_eval(func, y).residue
-        if got != expected:
-            failures.append(VerificationFailure(y, expected, got))
-    return VerificationReport(method_id, 100, tuple(failures))
-
-
 def verify_method(method_id: str) -> VerificationReport:
     """Check a method against the reference share for every y in [0, 99].
 
     Comparison is on normalized residues: any raw value in the right mod-7
     class passes.  Mismatches come back as data, never as exceptions.
     """
-    return _verification(method_id, get_method(method_id).func)
+    func = get_method(method_id).func
+    memo = _MEMOS.get(func) or _memo(func)
+    report = memo[2]
+    if report is None or report.method_id != method_id:
+        failures = []
+        for y in range(100):
+            expected = year_share(y)
+            got = _cached_eval(func, y).residue
+            if got != expected:
+                failures.append(VerificationFailure(y, expected, got))
+        report = memo[2] = VerificationReport(method_id, 100, tuple(failures))
+    return report
 
 
 def verify_all() -> list[VerificationReport]:
@@ -188,14 +208,20 @@ class CostReportRow(Record):
         }
 
 
-@lru_cache(maxsize=_MAX_SUMMARIES)
 def _cost_row(method_id: str, func: Callable[[int], ShareResult], model: CostModel) -> CostReportRow:
     """The method's cost row over the hundred years.
 
-    Models that compare equal share an entry; models that merely hash alike
-    (CostModel hashes its name only) do not.  lru_cache stores no
-    exception, so a mean too large for a float raises on every call.
+    The memo keeps the row of the last (method id, model) priced.  The
+    tuple comparison tries identity first, so the same model object is
+    never compared field by field; an equal model shares the row, one that
+    merely hashes alike (CostModel hashes its name only) does not.  No
+    exception is kept, so a mean too large for a float raises on every call.
     """
+    memo = _MEMOS.get(func) or _memo(func)
+    key = (method_id, model)
+    priced = memo[3]
+    if priced is not None and priced[0] == key:
+        return priced[1]
     costs = []
     magnitude = 0
     for y in range(100):
@@ -206,7 +232,9 @@ def _cost_row(method_id: str, func: Callable[[int], ShareResult], model: CostMod
         mean = sum(costs) / 100  # what statistics.fmean gives for ints
     except OverflowError:  # a weight of about 1e306 or more
         raise ValueError(f"mean cost of {method_id} under model {echo(model.name)} is too large for a float") from None
-    return CostReportRow(method_id, min(costs), max(costs), mean, magnitude)
+    row = CostReportRow(method_id, min(costs), max(costs), mean, magnitude)
+    memo[3] = (key, row)
+    return row
 
 
 def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MODEL) -> list[CostReportRow]:
@@ -214,8 +242,11 @@ def cost_report(ids: list[str] | None = None, model: CostModel = DEFAULT_COST_MO
 
     Costs depend on the model's weights; the max intermediate magnitude is
     model-independent (largest |operand or result| appearing in any step).
-    A mean cost too large for a float raises ValueError.
+    A mean cost too large for a float raises ValueError, as do ids given
+    as one str or as anything that is not iterable.
     """
     if ids is None:
         ids = method_ids()
+    elif isinstance(ids, str) or not hasattr(ids, "__iter__"):
+        raise ValueError(f"ids must be a list of method ids, got {echo(ids)}")
     return [_cost_row(mid, get_method(mid).func, model) for mid in ids]

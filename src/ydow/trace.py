@@ -28,7 +28,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._record import Record, echo, member
+from ._record import Record, check_int, echo, member
 from .arith import floor_div
 
 
@@ -161,11 +161,11 @@ DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
 class CostModel(Record):
     """Weights one unit of mental effort per step kind.
 
-    The name must be a str, every key must name a StepKind (a member or its
-    value) and every weight must be a nonnegative int (a bool is not);
-    anything else raises ValueError.  The model keeps a read-only copy of
-    the weights, keyed on StepKind, so no caller can reprice a shared model
-    after the fact.  Equal models hash equal; the hash reads the name only.
+    The name must be a str, the weights a mapping, every key must name a
+    StepKind (a member or its value) and every weight must be a nonnegative
+    int (a bool is not); anything else raises ValueError.  The model keeps a
+    read-only copy of the weights, keyed on StepKind, so no caller can
+    reprice a shared model after the fact.  Equal models hash equal; the hash reads the name only.
     """
 
     __slots__ = ("name", "weights")
@@ -173,11 +173,12 @@ class CostModel(Record):
     def __init__(self, name: str = "default", weights: Mapping[StepKind, int] = DEFAULT_WEIGHTS):
         if not isinstance(name, str):
             raise ValueError(f"cost model name must be a string, got {echo(name)}")
+        if not isinstance(weights, Mapping):
+            raise ValueError(f"cost model weights must be a mapping, got {echo(weights)}")
         checked = {}
         for key, w in weights.items():
             kind = member(StepKind, key)
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise ValueError(f"weight for {kind.value!r} must be an integer, got {echo(w)}")
+            check_int(f"weight for {kind.value!r}", w)
             if w < 0:
                 raise ValueError(f"negative weight for {kind.value}: {echo(w)}")
             checked[kind] = w

@@ -150,6 +150,31 @@ def test_years_stop_at_9999():
         CivilDate(10**5000, 1, 1)  # past str()'s digit limit
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((2000.5, 1, 1), "year must be an integer, got 2000.5"),
+        ((True, 1, 1), "year must be an integer, got True"),
+        (("2000", 1, 1), "year must be an integer, got '2000'"),
+        ((2000, 1.0, 1), "month must be an integer, got 1.0"),
+        ((2000, 1, None), "day must be an integer, got None"),
+    ],
+    ids=["float-year", "bool-year", "str-year", "float-month", "none-day"],
+)
+def test_civil_date_fields_must_be_ints(fields, message):
+    with pytest.raises(DateValidationError) as exc:
+        CivilDate(*fields)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, shown", [(None, "None"), (b"2000-01-01", "b'2000-01-01'"), (["x"], "['x']")])
+def test_parse_refuses_what_is_not_text(value, shown):
+    with pytest.raises(DateParseError) as exc:
+        parse_date(value)
+    assert str(exc.value) == f"expected YYYY-MM-DD text, got {shown} (at position 0)"
+    assert exc.value.position == 0
+
+
 @pytest.mark.parametrize("text", ["２０００-01-01", "²000-01-01", "٢٠٠٠-01-01"])
 def test_parse_rejects_non_ascii_digits(text):
     with pytest.raises(DateParseError, match="expected a digit") as e:

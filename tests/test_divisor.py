@@ -195,6 +195,18 @@ def test_spec_validation():
             assert str(exc.value) == f"{names[i]} must be an integer, got {shown}"
 
 
+@pytest.mark.parametrize("field", [2, 3, 5, 6], ids=["coef_q", "coef_r", "inner_q", "inner_r"])
+def test_spec_coefficients_are_bounded(field):
+    names = {2: "coef_q", 3: "coef_r", 5: "inner_q", 6: "inner_r"}
+    fields = [5, POS, 1, 1, 1, 1, 1]
+    for value in (99, -99):
+        DivisorSpec(*fields[:field], value, *fields[field + 1:])  # fine
+    for value, shown in [(100, "100"), (-100, "-100"), (10**5000, "<int too large to show>")]:
+        with pytest.raises(ValueError) as exc:
+            DivisorSpec(*fields[:field], value, *fields[field + 1:])
+        assert str(exc.value) == f"{names[field]} must be in [-99, 99], got {shown}"
+
+
 def test_sign_convention_given_as_text():
     # "pos" and "neg" mean the members they name, once converted
     for conv in (POS, NEG):

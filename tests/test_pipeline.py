@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from ydow import pipeline
+from ydow import pipeline, registry
 from ydow._record import ECHO_LIMIT
 from ydow.arith import SignConvention, normalize
 from ydow.dates import CivilDate, Weekday, daycount_weekday, is_leap, month_length
@@ -279,7 +279,7 @@ def test_swapped_method_gets_its_own_doomsday_table(monkeypatch):
 
 
 def test_doomsday_tables_stay_bounded(monkeypatch):
-    bound = pipeline._MAX_DOOMSDAY_TABLES
+    bound = registry._MAX_MEMOS
     desc = METHODS["odd11"]
     cd = CivilDate(2023, 6, 15)
     want = daycount_weekday(cd)
@@ -287,7 +287,7 @@ def test_doomsday_tables_stay_bounded(monkeypatch):
         # a new function object each time, as a caller swapping entries makes
         monkeypatch.setitem(METHODS, "odd11", desc._replace(func=partial(desc.func)))
         assert dow(cd, "odd11", with_trace=False).weekday is want
-        assert len(pipeline._DOOMSDAYS) <= bound
+        assert len(registry._MEMOS) <= bound
     monkeypatch.undo()
     for mid in method_ids():
         assert dow(cd, mid, with_trace=False).weekday is want

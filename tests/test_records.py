@@ -209,6 +209,15 @@ def test_a_divisor_plan_stays_out_of_the_record():
     assert eval_divisor(changed, 37) == eval_divisor(DivisorSpec(5, NEG, 1, 3, 0, 1, 1), 37)
 
 
+def test_repr_survives_a_field_whose_repr_raises():
+    model = CostModel("x", {"halve": 10**5000})
+    assert repr(model) == "CostModel(name='x', weights=<mappingproxy too large to show>)"
+    spec = DivisorSpec(10**5000, NEG, 1, -1, -1, 1, 1)
+    assert repr(spec).startswith("DivisorSpec(d=<int too large to show>, convention=")
+    long = CostModel("n" * 500)
+    assert repr(long).startswith(f"CostModel(name='{'n' * 500}', ")  # a field's repr is not cut
+
+
 def test_civil_date_is_not_a_tuple():
     assert CivilDate(2000, 1, 1) != (2000, 1, 1)
     assert CivilDate(2000, 1, 1) == CivilDate(2000, 1, 1)

@@ -6,7 +6,7 @@ import pytest
 from ydow import registry
 from ydow._record import Record
 from ydow.arith import SignConvention, mod7, normalize, year_share
-from ydow.dates import CivilDate
+from ydow.dates import CivilDate, daycount_weekday
 from ydow.pipeline import dow
 from ydow.registry import (
     METHODS,
@@ -212,15 +212,14 @@ def test_swapped_method_gets_fresh_reports(monkeypatch):
 
 
 def test_report_memos_stay_bounded(monkeypatch):
-    bound = registry._MAX_SUMMARIES
+    bound = registry._MAX_MEMOS
     desc = METHODS["odd11"]
     for _ in range(bound + 5):
         # a new function object each time, as a caller swapping entries makes
         monkeypatch.setitem(METHODS, "odd11", desc._replace(func=partial(desc.func)))
         assert verify_method("odd11").passed
         assert cost_report(["odd11"]) == [CostReportRow("odd11", 4, 4, 4.0, 110)]
-        assert registry._verification.cache_info().currsize <= bound
-        assert registry._cost_row.cache_info().currsize <= bound
+        assert len(registry._MEMOS) <= bound
     monkeypatch.undo()
     assert all(r.passed for r in verify_all())
     assert cost_report(["odd11"]) == [CostReportRow("odd11", 4, 4, 4.0, 110)]
@@ -240,3 +239,51 @@ def test_warm_reports_build_no_record(monkeypatch):
     monkeypatch.undo()
     assert built == []  # the memos hold the records themselves
     assert warm == cold
+
+
+def test_one_memo_per_function(monkeypatch):
+    registry._cached_eval.cache_clear()  # so the three new memos evict none
+    swapped = {"div11": 37, "fong": 5, "wang": 99}  # positive shares: one more raw is one more residue
+    for mid, bad_y in swapped.items():
+        desc = METHODS[mid]
+        func = partial(_one_more_at, desc.func, bad_y)
+        monkeypatch.setitem(METHODS, mid, desc._replace(func=func))
+        want = year_share(bad_y)
+        assert evaluate(mid, bad_y).residue == (want + 1) % 7
+        cd = CivilDate(2000 + bad_y, 3, 1)
+        assert dow(cd, mid, with_trace=False).weekday == (daycount_weekday(cd) + 1) % 7
+        assert verify_method(mid).failures == (VerificationFailure(bad_y, want, (want + 1) % 7),)
+        costs = [DEFAULT_COST_MODEL.cost(func(y).trace) for y in range(100)]
+        magnitude = max(func(y).trace.max_magnitude() for y in range(100))
+        assert cost_report([mid]) == [CostReportRow(mid, min(costs), max(costs), sum(costs) / 100, magnitude)]
+    assert set(registry._MEMOS) == {METHODS[mid].func for mid in swapped}
+
+    reports = verify_all()
+    registry._cached_eval.cache_clear()
+    assert registry._MEMOS == {}
+    again = verify_all()
+    assert again == reports
+    assert all(new is not old for new, old in zip(again, reports))  # built again, not kept
+
+
+def test_warm_cost_report_does_not_compare_the_same_model(monkeypatch):
+    rows = cost_report()
+
+    def no_eq(self, other):
+        raise AssertionError("a warm report compared the model it was handed")
+
+    monkeypatch.setattr(CostModel, "__eq__", no_eq)
+    assert cost_report(model=DEFAULT_COST_MODEL) == rows
+
+
+@pytest.mark.parametrize("ids", ["odd11", "", 5, 1.5, True], ids=["str", "empty-str", "int", "float", "bool"])
+def test_cost_report_refuses_ids_that_are_not_a_list(ids):
+    with pytest.raises(ValueError, match=r"^ids must be a list of method ids, got "):
+        cost_report(ids)
+
+
+def test_unknown_method_message_stays_short():
+    with pytest.raises(UnknownMethodError) as exc:
+        get_method("x" * 1000)
+    assert str(exc.value).startswith("unknown method '" + "x" * 59 + "...")
+    assert len(str(exc.value)) <= 200

@@ -234,7 +234,7 @@ def test_equal_named_models_do_not_share_a_summary(monkeypatch, heavy_first):
     runs = [(heavy, 52), (DEFAULT_COST_MODEL, 4)]
     if not heavy_first:
         runs.reverse()
-    registry._cost_row.cache_clear()
+    registry._MEMOS.clear()
     for model, want in runs:
         assert [r.max_cost for r in cost_report(["odd11"], model)] == [want]
     assert [r._astuple() for r in cost_report()] == GOLDEN_COST_REPORT
@@ -249,6 +249,12 @@ def test_equal_named_models_do_not_share_a_summary(monkeypatch, heavy_first):
     monkeypatch.setattr(CostModel, "cost", counting_cost)
     assert [r._astuple() for r in cost_report()] == GOLDEN_COST_REPORT
     assert priced == []  # the second report was served from the memo
+
+
+@pytest.mark.parametrize("weights", [None, 5, [("halve", 1)], "halve"], ids=["None", "int", "list", "str"])
+def test_cost_model_weights_must_be_a_mapping(weights):
+    with pytest.raises(ValueError, match=r"^cost model weights must be a mapping, got "):
+        CostModel("w", weights)
 
 
 def test_cost_model_copies_the_weights_it_is_given():
