@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, Step, StepTrace, new_step,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, Step, new_step, recorded,
 )
 
 
 def _digit_split(y: int) -> tuple[int, int, Step]:
     t, u = divmod(y, 10)
-    step = new_step((DIV_SPLIT, f"digits of {y}: tens {t}, units {u}", (y, 10), t))
+    step = new_step((DIV_SPLIT, ("digits of {}: tens {}, units {}", y, t, u), (y, 10), t))
     return t, u, step
 
 
@@ -34,14 +34,14 @@ def eisele(y: int) -> ShareResult:
     half = u // 2
     raw = 2 * t - half + r
     steps = (
-        new_step((DIV_SPLIT, f"largest multiple of four not exceeding {y} is {m}, remainder {r}", (y, 4), q)),
-        new_step((DIV_SPLIT, f"digits of {m}: tens {t}, units {u}", (m, 10), t)),
-        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {2 * t}", (2, t), 2 * t)),
-        new_step((HALVE, f"half the units digit: {u}/2 = {half}", (u,), half)),
-        new_step((SUB_CONST, f"2t - u/2: {2 * t} - {half} = {2 * t - half}", (2 * t, half), 2 * t - half)),
-        new_step((ADD_CONST, f"plus the remainder: {2 * t - half} + {r} = {raw}", (2 * t - half, r), raw)),
+        new_step((DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q)),
+        new_step((DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t)),
+        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t)),
+        new_step((HALVE, ("half the units digit: {}/2 = {}", u, half), (u,), half)),
+        new_step((SUB_CONST, ("2t - u/2: {} - {} = {}", 2 * t, half, 2 * t - half), (2 * t, half), 2 * t - half)),
+        new_step((ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t - half, r, raw), (2 * t - half, r), raw)),
     )
-    return normalize(raw, POSITIVE, StepTrace(steps))
+    return normalize(raw, POSITIVE, recorded(steps))
 
 
 def harringer(y: int) -> ShareResult:
@@ -56,14 +56,14 @@ def harringer(y: int) -> ShareResult:
     t, u = divmod(m, 10)
     raw = 2 * t + 3 * u + r
     steps = (
-        new_step((DIV_SPLIT, f"largest multiple of four not exceeding {y} is {m}, remainder {r}", (y, 4), q)),
-        new_step((DIV_SPLIT, f"digits of {m}: tens {t}, units {u}", (m, 10), t)),
-        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {2 * t}", (2, t), 2 * t)),
-        new_step((MUL_SMALL, f"thrice the units digit: 3*{u} = {3 * u}", (3, u), 3 * u)),
-        new_step((ADD_CONST, f"2t + 3u: {2 * t} + {3 * u} = {2 * t + 3 * u}", (2 * t, 3 * u), 2 * t + 3 * u)),
-        new_step((ADD_CONST, f"plus the remainder: {2 * t + 3 * u} + {r} = {raw}", (2 * t + 3 * u, r), raw)),
+        new_step((DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q)),
+        new_step((DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t)),
+        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t)),
+        new_step((MUL_SMALL, ("thrice the units digit: 3*{} = {}", u, 3 * u), (3, u), 3 * u)),
+        new_step((ADD_CONST, ("2t + 3u: {} + {} = {}", 2 * t, 3 * u, 2 * t + 3 * u), (2 * t, 3 * u), 2 * t + 3 * u)),
+        new_step((ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t + 3 * u, r, raw), (2 * t + 3 * u, r), raw)),
     )
-    return normalize(raw, POSITIVE, StepTrace(steps))
+    return normalize(raw, POSITIVE, recorded(steps))
 
 
 def digits_aa(y: int) -> ShareResult:
@@ -77,13 +77,13 @@ def digits_aa(y: int) -> ShareResult:
     raw = twot - s2
     steps = (
         split,
-        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot)),
-        new_step((ADD_CONST, f"2t + u = {twot} + {u} = {inner}", (twot, u), inner)),
-        new_step((QUARTER_FLOOR, f"its quarter: floor({inner}/4) = {quarter}", (inner,), quarter)),
-        new_step((ADD_CONST, f"add the units digit: {quarter} + {u} = {s2}", (quarter, u), s2)),
-        new_step((SUB_CONST, f"subtract that sum from 2t: {twot} - {s2} = {raw}", (twot, s2), raw)),
+        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot)),
+        new_step((ADD_CONST, ("2t + u = {} + {} = {}", twot, u, inner), (twot, u), inner)),
+        new_step((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter)),
+        new_step((ADD_CONST, ("add the units digit: {} + {} = {}", quarter, u, s2), (quarter, u), s2)),
+        new_step((SUB_CONST, ("subtract that sum from 2t: {} - {} = {}", twot, s2, raw), (twot, s2), raw)),
     )
-    return normalize(raw, NEGATIVE, StepTrace(steps))
+    return normalize(raw, NEGATIVE, recorded(steps))
 
 
 def fong(y: int) -> ShareResult:
@@ -99,23 +99,24 @@ def fong(y: int) -> ShareResult:
     twot = 2 * t
     steps = [
         split,
-        new_step((PARITY_TEST, f"tens digit {t} is {'odd' if p else 'even'}", (t,), p)),
-        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot)),
+        new_step((PARITY_TEST, ("tens digit {} is {}", t, "odd" if p else "even"), (t,), p)),
+        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot)),
     ]
     acc = twot
     if p:
-        steps.append(new_step((ADD_CONST, f"tens digit odd: add 10, {acc} + 10 = {acc + 10}", (acc, 10), acc + 10)))
+        steps.append(new_step((ADD_CONST, ("tens digit odd: add 10, {} + 10 = {}", acc, acc + 10), (acc, 10), acc + 10)))
         acc += 10
-    steps.append(new_step((ADD_CONST, f"add the units digit: {acc} + {u} = {acc + u}", (acc, u), acc + u)))
+    steps.append(new_step((ADD_CONST, ("add the units digit: {} + {} = {}", acc, u, acc + u), (acc, u), acc + u)))
     acc += u
     inner = 2 * p + u
     if p:
-        steps.append(new_step((ADD_CONST, f"tens digit odd: quarter {u} + 2 = {inner} instead of {u}", (u, 2), inner)))
+        text = ("tens digit odd: quarter {0} + 2 = {1} instead of {0}", u, inner)
+        steps.append(new_step((ADD_CONST, text, (u, 2), inner)))
     quarter = inner // 4
-    steps.append(new_step((QUARTER_FLOOR, f"its quarter: floor({inner}/4) = {quarter}", (inner,), quarter)))
+    steps.append(new_step((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter)))
     raw = acc + quarter
-    steps.append(new_step((ADD_CONST, f"add the quarter: {acc} + {quarter} = {raw}", (acc, quarter), raw)))
-    return normalize(raw, POSITIVE, StepTrace(tuple(steps)))
+    steps.append(new_step((ADD_CONST, ("add the quarter: {} + {} = {}", acc, quarter, raw), (acc, quarter), raw)))
+    return normalize(raw, POSITIVE, recorded(tuple(steps)))
 
 
 def wang(y: int) -> ShareResult:
@@ -134,13 +135,13 @@ def wang(y: int) -> ShareResult:
     raw = diff + quarter
     steps = (
         split,
-        new_step((SUB_CONST, f"units minus tens: {u} - {t} = {diff}", (u, t), diff)),
-        new_step((MUL_SMALL, f"twice the tens digit: 2*{t} = {twot}", (2, t), twot)),
-        new_step((SUB_CONST, f"u - 2t = {u} - {twot} = {inner}", (u, twot), inner)),
-        new_step((QUARTER_FLOOR, f"quarter, rounded down: floor({inner}/4) = {quarter}", (inner,), quarter)),
-        new_step((ADD_CONST, f"add it to u - t: {diff} + {quarter} = {raw}", (diff, quarter), raw)),
+        new_step((SUB_CONST, ("units minus tens: {} - {} = {}", u, t, diff), (u, t), diff)),
+        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot)),
+        new_step((SUB_CONST, ("u - 2t = {} - {} = {}", u, twot, inner), (u, twot), inner)),
+        new_step((QUARTER_FLOOR, ("quarter, rounded down: floor({}/4) = {}", inner, quarter), (inner,), quarter)),
+        new_step((ADD_CONST, ("add it to u - t: {} + {} = {}", diff, quarter, raw), (diff, quarter), raw)),
     )
-    return normalize(raw, POSITIVE, StepTrace(steps))
+    return normalize(raw, POSITIVE, recorded(steps))
 
 
 def digits_ab(y: int) -> ShareResult:
@@ -159,20 +160,20 @@ def digits_ab(y: int) -> ShareResult:
     quarter = floor_div(d, 4)
     raw = -quarter
     if d >= 0:
-        qdesc = f"quarter, rounded down: floor({d}/4) = {quarter}"
+        qdesc = ("quarter, rounded down: floor({}/4) = {}", d, quarter)
     elif (-d) % 4:
         qdesc = (
-            f"quarter of {-d} is {(-d) // 4}, nonzero remainder and sign minus "
-            f"bump it to {(-d) // 4 + 1}: floor({d}/4) = {quarter}"
+            "quarter of {} is {}, nonzero remainder and sign minus bump it to {}: floor({}/4) = {}",
+            -d, (-d) // 4, (-d) // 4 + 1, d, quarter,
         )
     else:
-        qdesc = f"quarter of {-d} is exactly {(-d) // 4}: floor({d}/4) = {quarter}"
+        qdesc = ("quarter of {} is exactly {}: floor({}/4) = {}", -d, (-d) // 4, d, quarter)
     steps = (
         split,
-        new_step((MUL_SMALL, f"5u = 5*{u} = {fiveu}", (5, u), fiveu)),
-        new_step((MUL_SMALL, f"6t = 6*{t} = {sixt}", (6, t), sixt)),
-        new_step((SUB_CONST, f"5u - 6t = {fiveu} - {sixt} = {d} (remember the sign)", (fiveu, sixt), d)),
+        new_step((MUL_SMALL, ("5u = 5*{} = {}", u, fiveu), (5, u), fiveu)),
+        new_step((MUL_SMALL, ("6t = 6*{} = {}", t, sixt), (6, t), sixt)),
+        new_step((SUB_CONST, ("5u - 6t = {} - {} = {} (remember the sign)", fiveu, sixt, d), (fiveu, sixt), d)),
         new_step((QUARTER_FLOOR, qdesc, (d,), quarter)),
-        new_step((SIGN_FLIP, f"attach the opposite sign: {raw}", (quarter,), raw)),
+        new_step((SIGN_FLIP, ("attach the opposite sign: {}", raw), (quarter,), raw)),
     )
-    return normalize(raw, NEGATIVE, StepTrace(steps))
+    return normalize(raw, NEGATIVE, recorded(steps))

@@ -12,8 +12,9 @@ that admits one with the inner q-coefficient in {-1, 0, 1}.
 Each `DivisorSpec` compiles its step plan once, when it is constructed:
 which terms are non-zero, whether each is negated, multiplied, added or
 subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).
-`eval_divisor` then only splits y, computes the numbers and formats them
-into the plan's texts, and `formula()` returns the plan's text of the whole
+`eval_divisor` then only splits y, computes the numbers and records them
+with the plan's templates (see `trace`; they are formatted when a trace's
+text is first read), and `formula()` returns the plan's text of the whole
 formula, so the two write every term alike.  The plan sits in a slot the
 record's fields leave out, so `repr`, `==`, `hash`, pickle, copy and
 `_replace` see only the seven coefficients, and every copy compiles its own
@@ -32,7 +33,7 @@ from __future__ import annotations
 from ._record import Record, check_int, echo, member
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, new_step, recorded,
 )
 
 
@@ -43,6 +44,9 @@ class NotRepresentableError(ValueError):
 # The largest coefficient magnitude a spec takes; derived formulas stay
 # within 9, and the bound keeps every coefficient a few digits long.
 MAX_COEF = 99
+# The largest divisor a spec takes: every y is below 100, so a larger d
+# splits every year as d = 100 does.
+MAX_DIVISOR = 99
 
 
 class _Planned(Record):
@@ -61,8 +65,8 @@ class DivisorSpec(_Planned):
     spec's sign convention, a SignConvention member or its value ("pos" or
     "neg").  The divisor and the five coefficients must be ints (a bool is
     not); anything else raises ValueError before any range is checked.
-    The floor coefficient is -1, 0 or 1, and the other four lie in
-    [-MAX_COEF, MAX_COEF].
+    The divisor lies in [2, MAX_DIVISOR], the floor coefficient is -1, 0
+    or 1, and the other four lie in [-MAX_COEF, MAX_COEF].
     """
 
     __slots__ = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
@@ -75,8 +79,8 @@ class DivisorSpec(_Planned):
         coefs = tuple(zip(self.__slots__[2:], (coef_q, coef_r, coef_floor, inner_q, inner_r)))
         for name, value in coefs:
             check_int(name, value)
-        if d < 2:
-            raise ValueError(f"divisor must be >= 2, got {echo(d)}")
+        if not 2 <= d <= MAX_DIVISOR:
+            raise ValueError(f"divisor must be in [2, {MAX_DIVISOR}], got {echo(d)}")
         if coef_floor not in (-1, 0, 1):
             raise ValueError(f"floor coefficient must be -1, 0 or 1, got {echo(coef_floor)}")
         for name, value in coefs:
@@ -126,12 +130,14 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
     "0", and an inner sum with more than one term is parenthesised.  The
     outer sum's text is the formula, so `formula()` and the trace name every
     term alike.  Each term is one op
-    `(src, pre, text, m, comb, comb_text, op)`: it reads vals[src] (q, r
+    `(src, pre, pre_text, m, comb, comb_text)`: it reads vals[src] (q, r
     or the floor), takes `m` times it in a `pre` step (MUL_SMALL, or
     SIGN_FLIP for a leading -1; None for no step), then adds it to or
     subtracts it from the running sum in a `comb` step (None for a leading
-    term, which starts the sum; `op` is " + " or " - ").  Between the
-    sums, one QUARTER_FLOOR op floors the inner sum by four.
+    term, which starts the sum).  Between the sums, one QUARTER_FLOOR op
+    floors the inner sum by four.  The texts are step templates: `pre_text`
+    takes the product, `comb_text` the sum so far, the term and the new sum,
+    and the floor's text the inner sum and its floor.
     """
     ops = []
 
@@ -144,8 +150,8 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
             pre = None if m == 1 else SIGN_FLIP if m == -1 else MUL_SMALL
             comb = None if not text else ADD_CONST if coef > 0 else SUB_CONST
             text = _append_term(text, coef, sym)
-            ops.append((src, pre, f"-{sym} = " if m == -1 else f"{m}*{sym} = ", m, comb, f"{text}: ",
-                        " + " if coef > 0 else " - "))
+            ops.append((src, pre, f"-{sym} = {{}}" if m == -1 else f"{m}*{sym} = {{}}", m, comb,
+                        f"{text}: {{}} {'+' if coef > 0 else '-'} {{}} = {{}}"))
         return text or "0"
 
     terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
@@ -153,7 +159,7 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
         inner = fold([(inner_q, 0, "q"), (inner_r, 1, "r")])
         if " " in inner:
             inner = f"({inner})"
-        ops.append((2, QUARTER_FLOOR, f"floor({inner}/4) = floor(", 0, None, "", ""))
+        ops.append((2, QUARTER_FLOOR, f"floor({inner}/4) = floor({{}}/4) = {{}}", 0, None, ""))
         terms.append((coef_floor, 2, f"floor({inner}/4)"))
     text = fold(terms)
     return tuple(ops), text
@@ -185,37 +191,37 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     """Evaluate a divisor formula at y, recording one step per mental operation.
 
     The steps follow the spec's plan (see `_compile_plan`); this only splits
-    y, computes the numbers and formats them into the plan's texts.
+    y, computes the numbers and records them with the plan's templates.
     """
     d = spec.d
     q, r = divmod_split(y, d)
-    steps = [new_step((DIV_SPLIT, f"split {y} = {d}*{q} + {r} (q={q}, r={r})", (y, d), q))]
+    steps = [new_step((DIV_SPLIT, ("split {0} = {1}*{2} + {3} (q={2}, r={3})", y, d, q, r), (y, d), q))]
     vals = [q, r, 0]
     acc = 0
-    for src, pre, text, m, comb, comb_text, op in spec._plan[0]:
+    for src, pre, pre_text, m, comb, comb_text in spec._plan[0]:
         if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
             fval = vals[2] = acc // 4
-            steps.append(new_step((QUARTER_FLOOR, f"{text}{acc}/4) = {fval}", (acc,), fval)))
+            steps.append(new_step((QUARTER_FLOOR, (pre_text, acc, fval), (acc,), fval)))
             continue
         val = vals[src]
         if pre is None:
             operand = val
         elif pre is SIGN_FLIP:
             operand = -val
-            steps.append(new_step((SIGN_FLIP, f"{text}{operand}", (val,), operand)))
+            steps.append(new_step((SIGN_FLIP, (pre_text, operand), (val,), operand)))
         else:
             operand = m * val
-            steps.append(new_step((MUL_SMALL, f"{text}{operand}", (m, val), operand)))
+            steps.append(new_step((MUL_SMALL, (pre_text, operand), (m, val), operand)))
         if comb is None:
             acc = operand
         else:
             new = acc + operand if comb is ADD_CONST else acc - operand
-            steps.append(new_step((comb, f"{comb_text}{acc}{op}{operand} = {new}", (acc, operand), new)))
+            steps.append(new_step((comb, (comb_text, acc, operand, new), (acc, operand), new)))
             acc = new
     if steps[-1].result != acc:
         # degenerate single-term formula; pin the final value explicitly
-        steps.append(new_step((SET, f"value is {acc}", (acc,), acc)))
-    return normalize(acc, spec.convention, StepTrace(tuple(steps)))
+        steps.append(new_step((SET, ("value is {}", acc), (acc,), acc)))
+    return normalize(acc, spec.convention, recorded(tuple(steps)))
 
 
 def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorSpec:
@@ -266,11 +272,11 @@ def div4(y: int) -> ShareResult:
     half = m // 2
     raw = half - r
     steps = (
-        new_step((DIV_SPLIT, f"highest multiple of four not exceeding {y} is {m}, remainder {r}", (y, 4), q)),
-        new_step((HALVE, f"half of {m} is {half}", (m,), half)),
-        new_step((SUB_CONST, f"minus the remainder: {half} - {r} = {raw}", (half, r), raw)),
+        new_step((DIV_SPLIT, ("highest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q)),
+        new_step((HALVE, ("half of {} is {}", m, half), (m,), half)),
+        new_step((SUB_CONST, ("minus the remainder: {} - {} = {}", half, r, raw), (half, r), raw)),
     )
-    return normalize(raw, spec.convention, StepTrace(steps))
+    return normalize(raw, spec.convention, recorded(steps))
 
 
 def div12(y: int) -> ShareResult:
@@ -284,9 +290,9 @@ def div12(y: int) -> ShareResult:
     fours = floor_div(r, 4)
     raw = q + r + fours
     steps = (
-        new_step((DIV_SPLIT, f"dozens in {y}: {q}, remainder {r}", (y, 12), q)),
-        new_step((QUARTER_FLOOR, f"fours in the remainder: floor({r}/4) = {fours}", (r,), fours)),
-        new_step((ADD_CONST, f"dozens plus remainder: {q} + {r} = {q + r}", (q, r), q + r)),
-        new_step((ADD_CONST, f"plus the fours: {q + r} + {fours} = {raw}", (q + r, fours), raw)),
+        new_step((DIV_SPLIT, ("dozens in {}: {}, remainder {}", y, q, r), (y, 12), q)),
+        new_step((QUARTER_FLOOR, ("fours in the remainder: floor({}/4) = {}", r, fours), (r,), fours)),
+        new_step((ADD_CONST, ("dozens plus remainder: {} + {} = {}", q, r, q + r), (q, r), q + r)),
+        new_step((ADD_CONST, ("plus the fours: {} + {} = {}", q + r, fours, raw), (q + r, fours), raw)),
     )
-    return normalize(raw, spec.convention, StepTrace(steps))
+    return normalize(raw, spec.convention, recorded(steps))

@@ -39,7 +39,7 @@ from ._record import member
 from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _MEMOS, _cached_eval, _memo, get_method
-from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step
+from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step, recorded
 
 
 class CalendarPolicyError(ValueError):
@@ -73,6 +73,7 @@ def century_anchor(century: int) -> int:
 # centuries; _MONTH_ANCHOR_ROWS picks the month table's row by year % 400.
 _CENTURY_ANCHORS = tuple(century_anchor(c) for c in range(4))
 _MONTH_ANCHOR_ROWS = tuple(_MONTH_ANCHORS[is_leap(y4)] for y4 in range(400))
+_WEEKDAY_NAMES = tuple(day.display_name for day in _WEEKDAYS)
 
 # The memo map's lookup, bound once.  CPython 3.11 compiles a method call on
 # an imported name, `_MEMOS.get(func)`, as an attribute load that builds a
@@ -118,7 +119,8 @@ def dow(
         share = _cached_eval(func, y4 % 100)
         dd = _MONTH_ANCHOR_ROWS[y4][date.month]
         trace = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
-        return DowResult(date, _WEEKDAYS[trace.steps[-1].result], method_id, pipeline, trace)
+        # the last step's result, read from the recorded steps so no text is formatted
+        return DowResult(date, _WEEKDAYS[trace._recorded[-1].result], method_id, pipeline, trace)
 
     doomsdays = (_memo_get(func) or _memo(func))[1]
     doomsday = doomsdays[y4]
@@ -137,6 +139,7 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
     (positive for Doomsday, negative for First-Sunday) and close with one
     mod-7 reduction to the weekday number.  Only the steps between differ.
     """
+    # The method's formatted steps: its memoised trace formats them once for every later read.
     steps = list(share.trace.steps) if share.trace is not None else []
     if doomsday:
         wanted, sign, share_name = POSITIVE, "positive", "year share"
@@ -144,10 +147,10 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         wanted, sign, share_name = NEGATIVE, "negative", "negative year share"
     raw = share.raw
     if share.convention is not wanted:
-        steps.append(new_step((SIGN_FLIP, f"{sign} share is the negation: {-raw}", (raw,), -raw)))
+        steps.append(new_step((SIGN_FLIP, ("{} share is the negation: {}", sign, -raw), (raw,), -raw)))
         raw = -raw
     r = raw % 7
-    steps.append(new_step((MOD7_REDUCE, f"reduce mod 7: {share_name} {r}", (raw,), r)))
+    steps.append(new_step((MOD7_REDUCE, ("reduce mod 7: {} {}", share_name, r), (raw,), r)))
 
     day = date.day
     if doomsday:
@@ -155,9 +158,9 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         a2 = a1 + day
         last = a2 - dd
         steps += (
-            new_step((ADD_CONST, f"add the century anchor {anchor}: {r} + {anchor} = {a1}", (r, anchor), a1)),
-            new_step((ADD_CONST, f"add the day of the month: {a1} + {day} = {a2}", (a1, day), a2)),
-            new_step((SUB_CONST, f"subtract the month's anchor date {dd}: {a2} - {dd} = {last}", (a2, dd), last)),
+            new_step((ADD_CONST, ("add the century anchor {1}: {0} + {1} = {2}", r, anchor, a1), (r, anchor), a1)),
+            new_step((ADD_CONST, ("add the day of the month: {} + {} = {}", a1, day, a2), (a1, day), a2)),
+            new_step((SUB_CONST, ("subtract the month's anchor date {1}: {0} - {1} = {2}", a2, dd, last), (a2, dd), last)),
         )
     else:
         cterm = -anchor % 7
@@ -167,13 +170,13 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         f = s or 7
         last = day - f
         steps += (
-            new_step((ADD_CONST, f"add the century term {cterm}: {r} + {cterm} = {a1}", (r, cterm), a1)),
-            new_step((ADD_CONST, f"add the month's anchor date {dd}: {a1} + {dd} = {a2}", (a1, dd), a2)),
-            new_step((MOD7_REDUCE, f"reduce mod 7: {s}", (a2,), s)),
-            new_step((SET, f"first Sunday of the month falls on day {f}", (f,), f)),
-            new_step((SUB_CONST, f"day {day} minus the first Sunday {f}: {last}", (day, f), last)),
+            new_step((ADD_CONST, ("add the century term {1}: {0} + {1} = {2}", r, cterm, a1), (r, cterm), a1)),
+            new_step((ADD_CONST, ("add the month's anchor date {1}: {0} + {1} = {2}", a1, dd, a2), (a1, dd), a2)),
+            new_step((MOD7_REDUCE, ("reduce mod 7: {}", s), (a2,), s)),
+            new_step((SET, ("first Sunday of the month falls on day {}", f), (f,), f)),
+            new_step((SUB_CONST, ("day {} minus the first Sunday {}: {}", day, f, last), (day, f), last)),
         )
 
     w = last % 7
-    steps.append(new_step((MOD7_REDUCE, f"reduce mod 7: weekday {w} ({_WEEKDAYS[w].display_name})", (last,), w)))
-    return StepTrace(tuple(steps))
+    steps.append(new_step((MOD7_REDUCE, ("reduce mod 7: weekday {} ({})", w, _WEEKDAY_NAMES[w]), (last,), w)))
+    return recorded(tuple(steps))

@@ -13,6 +13,14 @@ the Python frame of `Step._make`.  The kinds are module constants too
 (`SET`, `ADD_CONST`, ...): an attribute of an Enum class is read through
 EnumType's Python-level `__getattr__` hook, a global is not.
 
+A body formats no text.  In the description position it records a template
+and the values it needs, `("halve: {} / 2 = {}", ys, ys // 2)`, and hands
+its steps to `recorded`, which builds the trace without `StepTrace`'s
+Python-level `__init__`.  The first read of `StepTrace.steps` formats the
+descriptions with `str.format` and keeps the formatted steps; `replay`,
+`cost` and `max_magnitude` read the recorded steps and format nothing, and
+`to_jsonable` formats each text as it writes it, building no `Step`.
+
 `StepTrace` is an immutable record (see `_record`) wrapping a tuple of
 steps: its length and iteration are the steps', which a tuple base would
 conflict with, and it compares equal only to another `StepTrace`.
@@ -77,15 +85,24 @@ _RULES = {
 }
 
 
-class StepTrace(Record):
+class _Recorded(Record):
+    # Holds a trace's steps as recorded, descriptions still templates.
+    # Record reads a record's fields from the __slots__ of its own class, so
+    # a slot declared here stays out of repr, ==, hash, pickle, copy and
+    # _replace, which read the formatted `steps`.
+    __slots__ = ("_recorded",)
+
+
+class StepTrace(_Recorded):
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[Step, ...] = ()):
-        # A direct store, not Record.__init__: every method evaluation builds one.
-        object.__setattr__(self, "steps", steps)
+        # The public constructor takes formatted steps, so both slots hold them.
+        _set_recorded(self, steps)
+        _set_steps(self, steps)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._recorded)
 
     def __iter__(self):
         return iter(self.steps)
@@ -98,7 +115,7 @@ class StepTrace(Record):
         which for a method trace is the method's raw output.
         """
         final = None
-        for i, (kind, _, operands, result) in enumerate(self.steps):
+        for i, (kind, _, operands, result) in enumerate(self._recorded):
             if kind.__class__ is not StepKind:
                 raise TraceReplayError(f"unknown step kind {echo(kind)}")
             got = _RULES[kind](operands)
@@ -117,7 +134,7 @@ class StepTrace(Record):
     def max_magnitude(self) -> int:
         """Largest absolute value appearing anywhere in the trace."""
         hi = lo = 0
-        for _, _, operands, result in self.steps:
+        for _, _, operands, result in self._recorded:
             for v in operands:
                 if v > hi:
                     hi = v
@@ -130,15 +147,51 @@ class StepTrace(Record):
         return hi if hi >= -lo else -lo
 
     def to_jsonable(self) -> list[dict]:
+        # From the recorded steps: a trace is written once, so its formatted steps are not kept.
         return [
             {
-                "kind": s.kind._value_,  # a plain attribute; Enum's .value is a Python-level property
-                "description": s.description,
-                "operands": list(s.operands),
-                "result": s.result,
+                "kind": kind._value_,  # a plain attribute; Enum's .value is a Python-level property
+                "description": text if text.__class__ is str else _format(*text),
+                "operands": list(operands),
+                "result": result,
             }
-            for s in self.steps
+            for kind, text, operands, result in self._recorded
         ]
+
+
+# `steps` is a slot; the property below takes its name and reads and writes
+# the slot through its C-level descriptor, so a formatted trace is read
+# without a Python-level __getattr__ hook on the class.
+_get_steps = StepTrace.steps.__get__
+_set_steps = StepTrace.steps.__set__
+_set_recorded = _Recorded._recorded.__set__
+_format = str.format
+
+
+def _steps(trace: StepTrace) -> tuple[Step, ...]:
+    try:
+        return _get_steps(trace)
+    except AttributeError:  # the first read
+        pass
+    steps = tuple([
+        step if step[1].__class__ is str else new_step((step[0], _format(*step[1]), step[2], step[3]))
+        for step in trace._recorded
+    ])
+    _set_steps(trace, steps)
+    _set_recorded(trace, steps)  # so a trace never holds both
+    return steps
+
+
+StepTrace.steps = property(_steps, doc="The steps, their descriptions formatted on the first read.")
+_new_trace = partial(object.__new__, StepTrace)
+
+
+def recorded(steps: tuple) -> StepTrace:
+    """A trace over steps as a body records them, each description a
+    `(template, *values)` tuple or already a str; `.steps` formats them."""
+    trace = _new_trace()
+    _set_recorded(trace, steps)
+    return trace
 
 
 # Defaults reflect rough mental effort: free to load a number, cheap to test
@@ -194,7 +247,7 @@ class CostModel(Record):
     def cost(self, trace: StepTrace) -> int:
         get = self.weights.get
         total = 0
-        for step in trace.steps:
+        for step in trace._recorded:
             total += get(step[0], 0)
         return total
 

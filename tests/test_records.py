@@ -212,8 +212,9 @@ def test_a_divisor_plan_stays_out_of_the_record():
 def test_repr_survives_a_field_whose_repr_raises():
     model = CostModel("x", {"halve": 10**5000})
     assert repr(model) == "CostModel(name='x', weights=<mappingproxy too large to show>)"
-    spec = DivisorSpec(10**5000, NEG, 1, -1, -1, 1, 1)
-    assert repr(spec).startswith("DivisorSpec(d=<int too large to show>, convention=")
+    # DivisorSpec bounds its divisor, so a record without range checks carries the int
+    failure = VerificationFailure(10**5000, 0, 1)
+    assert repr(failure) == "VerificationFailure(y=<int too large to show>, expected=0, got=1)"
     long = CostModel("n" * 500)
     assert repr(long).startswith(f"CostModel(name='{'n' * 500}', ")  # a field's repr is not cut
 

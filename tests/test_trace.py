@@ -1,8 +1,16 @@
+import ast
 import json
+import pickle
 import re
+from pathlib import Path
 
 import pytest
 
+import ydow
+from ydow import registry
+from ydow.arith import SignConvention
+from ydow.divisor import BUILTIN_DIVISOR_SPECS, NotRepresentableError, derive_divisor_formula, eval_divisor
+from ydow.registry import METHODS, cost_report, verify_all
 from ydow.trace import (
     DEFAULT_COST_MODEL,
     DEFAULT_WEIGHTS,
@@ -157,3 +165,69 @@ def test_load_cost_model_names_the_file_in_model_errors(tmp_path, weights, messa
     with pytest.raises(ValueError) as exc:
         load_cost_model(str(path))
     assert str(exc.value) == f"cost model {str(path)!r}: {message}"
+
+
+def every_body():
+    """One call per method x year and per derivable or built-in spec x year, each making a fresh result."""
+    specs = list(BUILTIN_DIVISOR_SPECS.values())
+    for d in range(2, 29):
+        for convention in SignConvention:
+            try:
+                specs.append(derive_divisor_formula(d, convention))
+            except NotRepresentableError:
+                pass
+    calls = [(desc.func, y) for desc in METHODS.values() for y in range(100)]
+    calls += [(lambda y, spec=spec: eval_divisor(spec, y), y) for spec in specs for y in range(100)]
+    assert len(calls) == 1400 + 4600
+    return calls
+
+
+def unformatted(trace) -> bool:
+    """The trace holds its steps as recorded: every description still a template."""
+    return all(step[1].__class__ is tuple for step in trace._recorded)
+
+
+def test_a_recorded_trace_reads_as_its_formatted_steps():
+    # each check gets a fresh trace, so it is the first read and does the formatting
+    checks = [
+        lambda t, ref: t == ref and ref == t and t._recorded is t.steps,
+        lambda t, ref: hash(t) == hash(ref),
+        lambda t, ref: repr(t) == repr(ref),
+        lambda t, ref: t.to_jsonable() == ref.to_jsonable(),
+        lambda t, ref: pickle.loads(pickle.dumps(t)) == ref,
+        lambda t, ref: t._replace() == ref and t._replace(steps=()) == StepTrace(),
+        lambda t, ref: list(t) == list(ref) and len(t) == len(ref),
+    ]
+    for body, y in every_body():
+        steps = body(y).trace.steps
+        assert all(step.__class__ is Step and step.description.__class__ is str for step in steps)
+        assert all(step == tuple(step) for step in steps)
+        ref = StepTrace(steps)
+        for check in checks:
+            fresh = body(y).trace
+            assert unformatted(fresh)
+            assert check(fresh, ref), (body, y)
+
+
+def test_walkers_and_reports_leave_a_trace_unformatted():
+    # they read the recorded steps; to_jsonable formats the texts it writes but keeps none
+    for body, y in every_body():
+        trace = body(y).trace
+        trace.replay(), DEFAULT_COST_MODEL.cost(trace), trace.max_magnitude(), len(trace), trace.to_jsonable()
+        assert unformatted(trace), (body, y)
+    registry._cached_eval.cache_clear()
+    verify_all(), cost_report()
+    traces = [share.trace for memo in registry._MEMOS.values() for share in memo[0]]
+    assert len(traces) == 1400 and all(map(unformatted, traces))
+
+
+def test_no_step_text_is_formatted_eagerly():
+    # A step's text is a template and its values, formatted on first read;
+    # an f-string inside new_step(...) would format it while the body runs.
+    calls, eager = 0, []
+    for path in sorted(Path(ydow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "new_step":
+                calls += 1
+                eager += [f"{path.name}:{n.lineno}" for n in ast.walk(node) if isinstance(n, ast.JoinedStr)]
+    assert calls > 50 and eager == []
