@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, Step, new_step, recorded,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, Step, StepTrace, new_step,
 )
 
 
@@ -41,7 +41,7 @@ def eisele(y: int) -> ShareResult:
         new_step((SUB_CONST, ("2t - u/2: {} - {} = {}", 2 * t, half, 2 * t - half), (2 * t, half), 2 * t - half)),
         new_step((ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t - half, r, raw), (2 * t - half, r), raw)),
     )
-    return normalize(raw, POSITIVE, recorded(steps))
+    return normalize(raw, POSITIVE, StepTrace(steps))
 
 
 def harringer(y: int) -> ShareResult:
@@ -63,7 +63,7 @@ def harringer(y: int) -> ShareResult:
         new_step((ADD_CONST, ("2t + 3u: {} + {} = {}", 2 * t, 3 * u, 2 * t + 3 * u), (2 * t, 3 * u), 2 * t + 3 * u)),
         new_step((ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t + 3 * u, r, raw), (2 * t + 3 * u, r), raw)),
     )
-    return normalize(raw, POSITIVE, recorded(steps))
+    return normalize(raw, POSITIVE, StepTrace(steps))
 
 
 def digits_aa(y: int) -> ShareResult:
@@ -83,7 +83,7 @@ def digits_aa(y: int) -> ShareResult:
         new_step((ADD_CONST, ("add the units digit: {} + {} = {}", quarter, u, s2), (quarter, u), s2)),
         new_step((SUB_CONST, ("subtract that sum from 2t: {} - {} = {}", twot, s2, raw), (twot, s2), raw)),
     )
-    return normalize(raw, NEGATIVE, recorded(steps))
+    return normalize(raw, NEGATIVE, StepTrace(steps))
 
 
 def fong(y: int) -> ShareResult:
@@ -116,7 +116,7 @@ def fong(y: int) -> ShareResult:
     steps.append(new_step((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter)))
     raw = acc + quarter
     steps.append(new_step((ADD_CONST, ("add the quarter: {} + {} = {}", acc, quarter, raw), (acc, quarter), raw)))
-    return normalize(raw, POSITIVE, recorded(tuple(steps)))
+    return normalize(raw, POSITIVE, StepTrace(tuple(steps)))
 
 
 def wang(y: int) -> ShareResult:
@@ -141,7 +141,7 @@ def wang(y: int) -> ShareResult:
         new_step((QUARTER_FLOOR, ("quarter, rounded down: floor({}/4) = {}", inner, quarter), (inner,), quarter)),
         new_step((ADD_CONST, ("add it to u - t: {} + {} = {}", diff, quarter, raw), (diff, quarter), raw)),
     )
-    return normalize(raw, POSITIVE, recorded(steps))
+    return normalize(raw, POSITIVE, StepTrace(steps))
 
 
 def digits_ab(y: int) -> ShareResult:
@@ -176,4 +176,4 @@ def digits_ab(y: int) -> ShareResult:
         new_step((QUARTER_FLOOR, qdesc, (d,), quarter)),
         new_step((SIGN_FLIP, ("attach the opposite sign: {}", raw), (quarter,), raw)),
     )
-    return normalize(raw, NEGATIVE, recorded(steps))
+    return normalize(raw, NEGATIVE, StepTrace(steps))

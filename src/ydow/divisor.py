@@ -33,7 +33,7 @@ from __future__ import annotations
 from ._record import Record, check_int, echo, member
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, new_step, recorded,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step,
 )
 
 
@@ -44,9 +44,9 @@ class NotRepresentableError(ValueError):
 # The largest coefficient magnitude a spec takes; derived formulas stay
 # within 9, and the bound keeps every coefficient a few digits long.
 MAX_COEF = 99
-# The largest divisor a spec takes: every y is below 100, so a larger d
-# splits every year as d = 100 does.
-MAX_DIVISOR = 99
+# The largest divisor a spec takes: every y is below 100, so d = 100 splits
+# every year into q = 0, r = y, and any larger d splits it the same way.
+MAX_DIVISOR = 100
 
 
 class _Planned(Record):
@@ -221,7 +221,7 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     if steps[-1].result != acc:
         # degenerate single-term formula; pin the final value explicitly
         steps.append(new_step((SET, ("value is {}", acc), (acc,), acc)))
-    return normalize(acc, spec.convention, recorded(tuple(steps)))
+    return normalize(acc, spec.convention, StepTrace(tuple(steps)))
 
 
 def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorSpec:
@@ -276,7 +276,7 @@ def div4(y: int) -> ShareResult:
         new_step((HALVE, ("half of {} is {}", m, half), (m,), half)),
         new_step((SUB_CONST, ("minus the remainder: {} - {} = {}", half, r, raw), (half, r), raw)),
     )
-    return normalize(raw, spec.convention, recorded(steps))
+    return normalize(raw, spec.convention, StepTrace(steps))
 
 
 def div12(y: int) -> ShareResult:
@@ -295,4 +295,4 @@ def div12(y: int) -> ShareResult:
         new_step((ADD_CONST, ("dozens plus remainder: {} + {} = {}", q, r, q + r), (q, r), q + r)),
         new_step((ADD_CONST, ("plus the fours: {} + {} = {}", q + r, fours, raw), (q + r, fours), raw)),
     )
-    return normalize(raw, spec.convention, recorded(steps))
+    return normalize(raw, spec.convention, StepTrace(steps))

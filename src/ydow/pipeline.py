@@ -39,7 +39,7 @@ from ._record import member
 from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _MEMOS, _cached_eval, _memo, get_method
-from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step, recorded
+from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step
 
 
 class CalendarPolicyError(ValueError):
@@ -118,9 +118,8 @@ def dow(
     if with_trace:
         share = _cached_eval(func, y4 % 100)
         dd = _MONTH_ANCHOR_ROWS[y4][date.month]
-        trace = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
-        # the last step's result, read from the recorded steps so no text is formatted
-        return DowResult(date, _WEEKDAYS[trace._recorded[-1].result], method_id, pipeline, trace)
+        trace, w = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
+        return DowResult(date, _WEEKDAYS[w], method_id, pipeline, trace)
 
     doomsdays = (_memo_get(func) or _memo(func))[1]
     doomsday = doomsdays[y4]
@@ -132,8 +131,8 @@ def dow(
     return tuple.__new__(DowResult, (date, weekday, method_id, pipeline, None))
 
 
-def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -> StepTrace:
-    """The method's steps, then the assembly's; the last step's result is the weekday.
+def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -> tuple[StepTrace, int]:
+    """The method's steps, then the assembly's, and the weekday number, the last step's result.
 
     Both assemblies open by reducing the share in the sign they consume
     (positive for Doomsday, negative for First-Sunday) and close with one
@@ -179,4 +178,4 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
 
     w = last % 7
     steps.append(new_step((MOD7_REDUCE, ("reduce mod 7: weekday {} ({})", w, _WEEKDAY_NAMES[w]), (last,), w)))
-    return recorded(tuple(steps))
+    return StepTrace(tuple(steps)), w

@@ -9,7 +9,7 @@ ShareResult.
 from __future__ import annotations
 
 from .arith import NEGATIVE, ShareResult, check_year2, normalize
-from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, new_step, recorded
+from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, StepTrace, new_step
 
 
 def odd11(y: int) -> ShareResult:
@@ -35,7 +35,7 @@ def odd11(y: int) -> ShareResult:
         ys += 11
     else:
         steps.append(new_step((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2)))
-    return normalize(ys, NEGATIVE, recorded(tuple(steps)))
+    return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))
 
 
 def parity3(y: int) -> ShareResult:
@@ -65,4 +65,4 @@ def parity3(y: int) -> ShareResult:
         ys -= 3
     else:
         steps.append(new_step((PARITY_TEST, ("parity unchanged: leave {} as is", ys), (ys,), ys % 2)))
-    return normalize(ys, NEGATIVE, recorded(tuple(steps)))
+    return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))

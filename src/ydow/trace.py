@@ -15,9 +15,9 @@ EnumType's Python-level `__getattr__` hook, a global is not.
 
 A body formats no text.  In the description position it records a template
 and the values it needs, `("halve: {} / 2 = {}", ys, ys // 2)`, and hands
-its steps to `recorded`, which builds the trace without `StepTrace`'s
-Python-level `__init__`.  The first read of `StepTrace.steps` formats the
-descriptions with `str.format` and keeps the formatted steps; `replay`,
+its steps to `StepTrace`.  The first read of `StepTrace.steps` formats each
+template with `str.format`, passes any other description through, and keeps
+the formatted steps; `replay`,
 `cost` and `max_magnitude` read the recorded steps and format nothing, and
 `to_jsonable` formats each text as it writes it, building no `Step`.
 
@@ -97,9 +97,8 @@ class StepTrace(_Recorded):
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[Step, ...] = ()):
-        # The public constructor takes formatted steps, so both slots hold them.
+        # Formatted steps or recorded ones; the first read of `.steps` formats any template.
         _set_recorded(self, steps)
-        _set_steps(self, steps)
 
     def __len__(self) -> int:
         return len(self._recorded)
@@ -151,7 +150,7 @@ class StepTrace(_Recorded):
         return [
             {
                 "kind": kind._value_,  # a plain attribute; Enum's .value is a Python-level property
-                "description": text if text.__class__ is str else _format(*text),
+                "description": _format(*text) if text.__class__ is tuple else text,
                 "operands": list(operands),
                 "result": result,
             }
@@ -174,7 +173,7 @@ def _steps(trace: StepTrace) -> tuple[Step, ...]:
     except AttributeError:  # the first read
         pass
     steps = tuple([
-        step if step[1].__class__ is str else new_step((step[0], _format(*step[1]), step[2], step[3]))
+        new_step((step[0], _format(*step[1]), step[2], step[3])) if step[1].__class__ is tuple else step
         for step in trace._recorded
     ])
     _set_steps(trace, steps)
@@ -183,15 +182,6 @@ def _steps(trace: StepTrace) -> tuple[Step, ...]:
 
 
 StepTrace.steps = property(_steps, doc="The steps, their descriptions formatted on the first read.")
-_new_trace = partial(object.__new__, StepTrace)
-
-
-def recorded(steps: tuple) -> StepTrace:
-    """A trace over steps as a body records them, each description a
-    `(template, *values)` tuple or already a str; `.steps` formats them."""
-    trace = _new_trace()
-    _set_recorded(trace, steps)
-    return trace
 
 
 # Defaults reflect rough mental effort: free to load a number, cheap to test

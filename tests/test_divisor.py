@@ -208,15 +208,18 @@ def test_spec_coefficients_are_bounded(field):
 
 
 def test_spec_divisor_is_bounded():
-    # every y is below 100, so a divisor past 99 would split every year as 100 does
-    spec = DivisorSpec(99, POS, 1, 1, 1, 1, 1)
-    for y in range(100):
-        res = eval_divisor(spec, y)
-        assert res.raw == spec.value(y) == res.trace.replay()
-    for d, shown in [(1, "1"), (100, "100"), (10**5000, "<int too large to show>")]:
+    # every y is below 100, so a divisor past 100 would split every year as 100 does
+    for d in (99, 100):
+        spec = DivisorSpec(d, POS, 1, 1, 1, 1, 1)
+        for y in range(100):
+            res = eval_divisor(spec, y)
+            assert res.raw == spec.value(y) == res.trace.replay()
+            if d == 100:
+                assert spec.value(y) == y + y // 4  # q = 0, r = y
+    for d, shown in [(1, "1"), (101, "101"), (10**5000, "<int too large to show>")]:
         with pytest.raises(ValueError) as exc:
             DivisorSpec(d, POS, 1, 1, 1, 1, 1)
-        assert str(exc.value) == f"divisor must be in [2, 99], got {shown}"
+        assert str(exc.value) == f"divisor must be in [2, 100], got {shown}"
 
 
 def test_sign_convention_given_as_text():

@@ -231,3 +231,17 @@ def test_no_step_text_is_formatted_eagerly():
                 calls += 1
                 eager += [f"{path.name}:{n.lineno}" for n in ast.walk(node) if isinstance(n, ast.JoinedStr)]
     assert calls > 50 and eager == []
+
+
+def test_only_a_template_description_is_formatted():
+    # StepTrace checks nothing it is given: a description that is not a tuple,
+    # a str subclass among them, passes through both readers unchanged
+    class Text(str):
+        pass
+
+    for text in (Text("abc"), "abc", None, 7):
+        trace = StepTrace((Step(StepKind.SET, text, (1,), 1),))
+        assert trace.to_jsonable()[0]["description"] is text
+        assert trace.steps[0].description is text
+    trace = StepTrace((Step(StepKind.SET, ("load {}", Text("x")), (1,), 1),))
+    assert trace.to_jsonable()[0]["description"] == "load x" == trace.steps[0].description
