@@ -17,9 +17,9 @@ A body formats no text.  In the description position it records a template
 and the values it needs, `("halve: {} / 2 = {}", ys, ys // 2)`, and hands
 its steps to `StepTrace`.  The first read of `StepTrace.steps` formats each
 template with `str.format`, passes any other description through, and keeps
-the formatted steps; `replay`,
-`cost` and `max_magnitude` read the recorded steps and format nothing, and
-`to_jsonable` formats each text as it writes it, building no `Step`.
+the formatted steps; `replay`, `cost` and `max_magnitude` read the recorded
+steps and format nothing, and `to_jsonable` formats each text as it writes
+it, building no `Step`.
 
 `StepTrace` is an immutable record (see `_record`) wrapping a tuple of
 steps: its length and iteration are the steps', which a tuple base would
