@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, Step, StepTrace, new_step,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, StepTrace,
 )
 
 
-def _digit_split(y: int) -> tuple[int, int, Step]:
+def _digit_split(y: int) -> tuple[int, int, tuple]:
     t, u = divmod(y, 10)
-    step = new_step((DIV_SPLIT, ("digits of {}: tens {}, units {}", y, t, u), (y, 10), t))
+    step = (DIV_SPLIT, ("digits of {}: tens {}, units {}", y, t, u), (y, 10), t)
     return t, u, step
 
 
@@ -34,12 +34,12 @@ def eisele(y: int) -> ShareResult:
     half = u // 2
     raw = 2 * t - half + r
     steps = (
-        new_step((DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q)),
-        new_step((DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t)),
-        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t)),
-        new_step((HALVE, ("half the units digit: {}/2 = {}", u, half), (u,), half)),
-        new_step((SUB_CONST, ("2t - u/2: {} - {} = {}", 2 * t, half, 2 * t - half), (2 * t, half), 2 * t - half)),
-        new_step((ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t - half, r, raw), (2 * t - half, r), raw)),
+        (DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q),
+        (DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t),
+        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t),
+        (HALVE, ("half the units digit: {}/2 = {}", u, half), (u,), half),
+        (SUB_CONST, ("2t - u/2: {} - {} = {}", 2 * t, half, 2 * t - half), (2 * t, half), 2 * t - half),
+        (ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t - half, r, raw), (2 * t - half, r), raw),
     )
     return normalize(raw, POSITIVE, StepTrace(steps))
 
@@ -56,12 +56,12 @@ def harringer(y: int) -> ShareResult:
     t, u = divmod(m, 10)
     raw = 2 * t + 3 * u + r
     steps = (
-        new_step((DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q)),
-        new_step((DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t)),
-        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t)),
-        new_step((MUL_SMALL, ("thrice the units digit: 3*{} = {}", u, 3 * u), (3, u), 3 * u)),
-        new_step((ADD_CONST, ("2t + 3u: {} + {} = {}", 2 * t, 3 * u, 2 * t + 3 * u), (2 * t, 3 * u), 2 * t + 3 * u)),
-        new_step((ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t + 3 * u, r, raw), (2 * t + 3 * u, r), raw)),
+        (DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q),
+        (DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t),
+        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t),
+        (MUL_SMALL, ("thrice the units digit: 3*{} = {}", u, 3 * u), (3, u), 3 * u),
+        (ADD_CONST, ("2t + 3u: {} + {} = {}", 2 * t, 3 * u, 2 * t + 3 * u), (2 * t, 3 * u), 2 * t + 3 * u),
+        (ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t + 3 * u, r, raw), (2 * t + 3 * u, r), raw),
     )
     return normalize(raw, POSITIVE, StepTrace(steps))
 
@@ -77,11 +77,11 @@ def digits_aa(y: int) -> ShareResult:
     raw = twot - s2
     steps = (
         split,
-        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot)),
-        new_step((ADD_CONST, ("2t + u = {} + {} = {}", twot, u, inner), (twot, u), inner)),
-        new_step((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter)),
-        new_step((ADD_CONST, ("add the units digit: {} + {} = {}", quarter, u, s2), (quarter, u), s2)),
-        new_step((SUB_CONST, ("subtract that sum from 2t: {} - {} = {}", twot, s2, raw), (twot, s2), raw)),
+        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot),
+        (ADD_CONST, ("2t + u = {} + {} = {}", twot, u, inner), (twot, u), inner),
+        (QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter),
+        (ADD_CONST, ("add the units digit: {} + {} = {}", quarter, u, s2), (quarter, u), s2),
+        (SUB_CONST, ("subtract that sum from 2t: {} - {} = {}", twot, s2, raw), (twot, s2), raw),
     )
     return normalize(raw, NEGATIVE, StepTrace(steps))
 
@@ -99,23 +99,23 @@ def fong(y: int) -> ShareResult:
     twot = 2 * t
     steps = [
         split,
-        new_step((PARITY_TEST, ("tens digit {} is {}", t, "odd" if p else "even"), (t,), p)),
-        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot)),
+        (PARITY_TEST, ("tens digit {} is {}", t, "odd" if p else "even"), (t,), p),
+        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot),
     ]
     acc = twot
     if p:
-        steps.append(new_step((ADD_CONST, ("tens digit odd: add 10, {} + 10 = {}", acc, acc + 10), (acc, 10), acc + 10)))
+        steps.append((ADD_CONST, ("tens digit odd: add 10, {} + 10 = {}", acc, acc + 10), (acc, 10), acc + 10))
         acc += 10
-    steps.append(new_step((ADD_CONST, ("add the units digit: {} + {} = {}", acc, u, acc + u), (acc, u), acc + u)))
+    steps.append((ADD_CONST, ("add the units digit: {} + {} = {}", acc, u, acc + u), (acc, u), acc + u))
     acc += u
     inner = 2 * p + u
     if p:
         text = ("tens digit odd: quarter {0} + 2 = {1} instead of {0}", u, inner)
-        steps.append(new_step((ADD_CONST, text, (u, 2), inner)))
+        steps.append((ADD_CONST, text, (u, 2), inner))
     quarter = inner // 4
-    steps.append(new_step((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter)))
+    steps.append((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter))
     raw = acc + quarter
-    steps.append(new_step((ADD_CONST, ("add the quarter: {} + {} = {}", acc, quarter, raw), (acc, quarter), raw)))
+    steps.append((ADD_CONST, ("add the quarter: {} + {} = {}", acc, quarter, raw), (acc, quarter), raw))
     return normalize(raw, POSITIVE, StepTrace(tuple(steps)))
 
 
@@ -135,11 +135,11 @@ def wang(y: int) -> ShareResult:
     raw = diff + quarter
     steps = (
         split,
-        new_step((SUB_CONST, ("units minus tens: {} - {} = {}", u, t, diff), (u, t), diff)),
-        new_step((MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot)),
-        new_step((SUB_CONST, ("u - 2t = {} - {} = {}", u, twot, inner), (u, twot), inner)),
-        new_step((QUARTER_FLOOR, ("quarter, rounded down: floor({}/4) = {}", inner, quarter), (inner,), quarter)),
-        new_step((ADD_CONST, ("add it to u - t: {} + {} = {}", diff, quarter, raw), (diff, quarter), raw)),
+        (SUB_CONST, ("units minus tens: {} - {} = {}", u, t, diff), (u, t), diff),
+        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot),
+        (SUB_CONST, ("u - 2t = {} - {} = {}", u, twot, inner), (u, twot), inner),
+        (QUARTER_FLOOR, ("quarter, rounded down: floor({}/4) = {}", inner, quarter), (inner,), quarter),
+        (ADD_CONST, ("add it to u - t: {} + {} = {}", diff, quarter, raw), (diff, quarter), raw),
     )
     return normalize(raw, POSITIVE, StepTrace(steps))
 
@@ -170,10 +170,10 @@ def digits_ab(y: int) -> ShareResult:
         qdesc = ("quarter of {} is exactly {}: floor({}/4) = {}", -d, (-d) // 4, d, quarter)
     steps = (
         split,
-        new_step((MUL_SMALL, ("5u = 5*{} = {}", u, fiveu), (5, u), fiveu)),
-        new_step((MUL_SMALL, ("6t = 6*{} = {}", t, sixt), (6, t), sixt)),
-        new_step((SUB_CONST, ("5u - 6t = {} - {} = {} (remember the sign)", fiveu, sixt, d), (fiveu, sixt), d)),
-        new_step((QUARTER_FLOOR, qdesc, (d,), quarter)),
-        new_step((SIGN_FLIP, ("attach the opposite sign: {}", raw), (quarter,), raw)),
+        (MUL_SMALL, ("5u = 5*{} = {}", u, fiveu), (5, u), fiveu),
+        (MUL_SMALL, ("6t = 6*{} = {}", t, sixt), (6, t), sixt),
+        (SUB_CONST, ("5u - 6t = {} - {} = {} (remember the sign)", fiveu, sixt, d), (fiveu, sixt), d),
+        (QUARTER_FLOOR, qdesc, (d,), quarter),
+        (SIGN_FLIP, ("attach the opposite sign: {}", raw), (quarter,), raw),
     )
     return normalize(raw, NEGATIVE, StepTrace(steps))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from ._record import Record, check_int, echo, member
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace,
 )
 
 
@@ -195,32 +195,32 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     """
     d = spec.d
     q, r = divmod_split(y, d)
-    steps = [new_step((DIV_SPLIT, ("split {0} = {1}*{2} + {3} (q={2}, r={3})", y, d, q, r), (y, d), q))]
+    steps = [(DIV_SPLIT, ("split {0} = {1}*{2} + {3} (q={2}, r={3})", y, d, q, r), (y, d), q)]
     vals = [q, r, 0]
     acc = 0
     for src, pre, pre_text, m, comb, comb_text in spec._plan[0]:
         if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
             fval = vals[2] = acc // 4
-            steps.append(new_step((QUARTER_FLOOR, (pre_text, acc, fval), (acc,), fval)))
+            steps.append((QUARTER_FLOOR, (pre_text, acc, fval), (acc,), fval))
             continue
         val = vals[src]
         if pre is None:
             operand = val
         elif pre is SIGN_FLIP:
             operand = -val
-            steps.append(new_step((SIGN_FLIP, (pre_text, operand), (val,), operand)))
+            steps.append((SIGN_FLIP, (pre_text, operand), (val,), operand))
         else:
             operand = m * val
-            steps.append(new_step((MUL_SMALL, (pre_text, operand), (m, val), operand)))
+            steps.append((MUL_SMALL, (pre_text, operand), (m, val), operand))
         if comb is None:
             acc = operand
         else:
             new = acc + operand if comb is ADD_CONST else acc - operand
-            steps.append(new_step((comb, (comb_text, acc, operand, new), (acc, operand), new)))
+            steps.append((comb, (comb_text, acc, operand, new), (acc, operand), new))
             acc = new
-    if steps[-1].result != acc:
+    if steps[-1][3] != acc:
         # degenerate single-term formula; pin the final value explicitly
-        steps.append(new_step((SET, ("value is {}", acc), (acc,), acc)))
+        steps.append((SET, ("value is {}", acc), (acc,), acc))
     return normalize(acc, spec.convention, StepTrace(tuple(steps)))
 
 
@@ -272,9 +272,9 @@ def div4(y: int) -> ShareResult:
     half = m // 2
     raw = half - r
     steps = (
-        new_step((DIV_SPLIT, ("highest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q)),
-        new_step((HALVE, ("half of {} is {}", m, half), (m,), half)),
-        new_step((SUB_CONST, ("minus the remainder: {} - {} = {}", half, r, raw), (half, r), raw)),
+        (DIV_SPLIT, ("highest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q),
+        (HALVE, ("half of {} is {}", m, half), (m,), half),
+        (SUB_CONST, ("minus the remainder: {} - {} = {}", half, r, raw), (half, r), raw),
     )
     return normalize(raw, spec.convention, StepTrace(steps))
 
@@ -290,9 +290,9 @@ def div12(y: int) -> ShareResult:
     fours = floor_div(r, 4)
     raw = q + r + fours
     steps = (
-        new_step((DIV_SPLIT, ("dozens in {}: {}, remainder {}", y, q, r), (y, 12), q)),
-        new_step((QUARTER_FLOOR, ("fours in the remainder: floor({}/4) = {}", r, fours), (r,), fours)),
-        new_step((ADD_CONST, ("dozens plus remainder: {} + {} = {}", q, r, q + r), (q, r), q + r)),
-        new_step((ADD_CONST, ("plus the fours: {} + {} = {}", q + r, fours, raw), (q + r, fours), raw)),
+        (DIV_SPLIT, ("dozens in {}: {}, remainder {}", y, q, r), (y, 12), q),
+        (QUARTER_FLOOR, ("fours in the remainder: floor({}/4) = {}", r, fours), (r,), fours),
+        (ADD_CONST, ("dozens plus remainder: {} + {} = {}", q, r, q + r), (q, r), q + r),
+        (ADD_CONST, ("plus the fours: {} + {} = {}", q + r, fours, raw), (q + r, fours), raw),
     )
     return normalize(raw, spec.convention, StepTrace(steps))

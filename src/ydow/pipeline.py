@@ -39,7 +39,7 @@ from ._record import member
 from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
 from .registry import _MEMOS, _cached_eval, _memo, get_method
-from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace, new_step
+from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace
 
 
 class CalendarPolicyError(ValueError):
@@ -146,10 +146,10 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         wanted, sign, share_name = NEGATIVE, "negative", "negative year share"
     raw = share.raw
     if share.convention is not wanted:
-        steps.append(new_step((SIGN_FLIP, ("{} share is the negation: {}", sign, -raw), (raw,), -raw)))
+        steps.append((SIGN_FLIP, ("{} share is the negation: {}", sign, -raw), (raw,), -raw))
         raw = -raw
     r = raw % 7
-    steps.append(new_step((MOD7_REDUCE, ("reduce mod 7: {} {}", share_name, r), (raw,), r)))
+    steps.append((MOD7_REDUCE, ("reduce mod 7: {} {}", share_name, r), (raw,), r))
 
     day = date.day
     if doomsday:
@@ -157,9 +157,9 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         a2 = a1 + day
         last = a2 - dd
         steps += (
-            new_step((ADD_CONST, ("add the century anchor {1}: {0} + {1} = {2}", r, anchor, a1), (r, anchor), a1)),
-            new_step((ADD_CONST, ("add the day of the month: {} + {} = {}", a1, day, a2), (a1, day), a2)),
-            new_step((SUB_CONST, ("subtract the month's anchor date {1}: {0} - {1} = {2}", a2, dd, last), (a2, dd), last)),
+            (ADD_CONST, ("add the century anchor {1}: {0} + {1} = {2}", r, anchor, a1), (r, anchor), a1),
+            (ADD_CONST, ("add the day of the month: {} + {} = {}", a1, day, a2), (a1, day), a2),
+            (SUB_CONST, ("subtract the month's anchor date {1}: {0} - {1} = {2}", a2, dd, last), (a2, dd), last),
         )
     else:
         cterm = -anchor % 7
@@ -169,13 +169,13 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
         f = s or 7
         last = day - f
         steps += (
-            new_step((ADD_CONST, ("add the century term {1}: {0} + {1} = {2}", r, cterm, a1), (r, cterm), a1)),
-            new_step((ADD_CONST, ("add the month's anchor date {1}: {0} + {1} = {2}", a1, dd, a2), (a1, dd), a2)),
-            new_step((MOD7_REDUCE, ("reduce mod 7: {}", s), (a2,), s)),
-            new_step((SET, ("first Sunday of the month falls on day {}", f), (f,), f)),
-            new_step((SUB_CONST, ("day {} minus the first Sunday {}: {}", day, f, last), (day, f), last)),
+            (ADD_CONST, ("add the century term {1}: {0} + {1} = {2}", r, cterm, a1), (r, cterm), a1),
+            (ADD_CONST, ("add the month's anchor date {1}: {0} + {1} = {2}", a1, dd, a2), (a1, dd), a2),
+            (MOD7_REDUCE, ("reduce mod 7: {}", s), (a2,), s),
+            (SET, ("first Sunday of the month falls on day {}", f), (f,), f),
+            (SUB_CONST, ("day {} minus the first Sunday {}: {}", day, f, last), (day, f), last),
         )
 
     w = last % 7
-    steps.append(new_step((MOD7_REDUCE, ("reduce mod 7: weekday {} ({})", w, _WEEKDAY_NAMES[w]), (last,), w)))
+    steps.append((MOD7_REDUCE, ("reduce mod 7: weekday {} ({})", w, _WEEKDAY_NAMES[w]), (last,), w))
     return StepTrace(tuple(steps)), w

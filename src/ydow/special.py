@@ -9,7 +9,7 @@ ShareResult.
 from __future__ import annotations
 
 from .arith import NEGATIVE, ShareResult, check_year2, normalize
-from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, StepTrace, new_step
+from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, StepTrace
 
 
 def odd11(y: int) -> ShareResult:
@@ -22,19 +22,19 @@ def odd11(y: int) -> ShareResult:
     check_year2(y)
     steps = []
     ys = y
-    steps.append(new_step((SET, ("set YS to {}", ys), (ys,), ys)))
+    steps.append((SET, ("set YS to {}", ys), (ys,), ys))
     if ys % 2 == 1:
-        steps.append(new_step((ADD_CONST, ("YS is odd: add 11, {} + 11 = {}", ys, ys + 11), (ys, 11), ys + 11)))
+        steps.append((ADD_CONST, ("YS is odd: add 11, {} + 11 = {}", ys, ys + 11), (ys, 11), ys + 11))
         ys += 11
     else:
-        steps.append(new_step((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2)))
-    steps.append(new_step((HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2)))
+        steps.append((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2))
+    steps.append((HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2))
     ys //= 2
     if ys % 2 == 1:
-        steps.append(new_step((ADD_CONST, ("YS is odd: add 11, {} + 11 = {}", ys, ys + 11), (ys, 11), ys + 11)))
+        steps.append((ADD_CONST, ("YS is odd: add 11, {} + 11 = {}", ys, ys + 11), (ys, 11), ys + 11))
         ys += 11
     else:
-        steps.append(new_step((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2)))
+        steps.append((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2))
     return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))
 
 
@@ -50,19 +50,19 @@ def parity3(y: int) -> ShareResult:
     check_year2(y)
     steps = []
     ys = y
-    steps.append(new_step((SET, ("set YS to {}", ys), (ys,), ys)))
+    steps.append((SET, ("set YS to {}", ys), (ys,), ys))
     remembered = ys % 2  # step-ii parity flag, reused verbatim in step iv
     if remembered:
         text = ("YS is odd (remember: odd): subtract 3, {} - 3 = {}", ys, ys - 3)
-        steps.append(new_step((SUB_CONST, text, (ys, 3), ys - 3)))
+        steps.append((SUB_CONST, text, (ys, 3), ys - 3))
         ys -= 3
     else:
-        steps.append(new_step((PARITY_TEST, ("YS is even (remember: even): leave {} unchanged", ys), (ys,), ys % 2)))
-    steps.append(new_step((HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2)))
+        steps.append((PARITY_TEST, ("YS is even (remember: even): leave {} unchanged", ys), (ys,), ys % 2))
+    steps.append((HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2))
     ys //= 2
     if ys % 2 != remembered:
-        steps.append(new_step((SUB_CONST, ("parity changed: subtract 3, {} - 3 = {}", ys, ys - 3), (ys, 3), ys - 3)))
+        steps.append((SUB_CONST, ("parity changed: subtract 3, {} - 3 = {}", ys, ys - 3), (ys, 3), ys - 3))
         ys -= 3
     else:
-        steps.append(new_step((PARITY_TEST, ("parity unchanged: leave {} as is", ys), (ys,), ys % 2)))
+        steps.append((PARITY_TEST, ("parity unchanged: leave {} as is", ys), (ys,), ys % 2))
     return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))

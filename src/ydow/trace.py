@@ -6,20 +6,22 @@ example, replayed to re-derive the result, and priced under a cost model.
 
 A `Step` is an immutable `typing.NamedTuple`, so it is cheap to build and
 walk.  Like any tuple it compares equal to a plain tuple holding the same
-four fields.  Every method body and assembly builds its steps through one
-constructor, `new_step = partial(tuple.__new__, Step)`: given a 4-tuple it
-makes the Step in C, skipping the NamedTuple's Python-level `__new__` and
-the Python frame of `Step._make`.  The kinds are module constants too
-(`SET`, `ADD_CONST`, ...): an attribute of an Enum class is read through
-EnumType's Python-level `__getattr__` hook, a global is not.
+four fields.  The kinds are module constants too (`SET`, `ADD_CONST`, ...):
+an attribute of an Enum class is read through EnumType's Python-level
+`__getattr__` hook, a global is not.
 
-A body formats no text.  In the description position it records a template
-and the values it needs, `("halve: {} / 2 = {}", ys, ys // 2)`, and hands
-its steps to `StepTrace`.  The first read of `StepTrace.steps` formats each
-template with `str.format`, passes any other description through, and keeps
-the formatted steps; `replay`, `cost` and `max_magnitude` read the recorded
-steps and format nothing, and `to_jsonable` formats each text as it writes
-it, building no `Step`.
+A body builds no `Step` and formats no text.  It records each step as a plain
+4-tuple, `(HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2)`: the
+kind, a template with the values it needs, the operands and the result.  An
+exact tuple is the cheapest record to build, and CPython unpacks
+`for kind, text, operands, result in ...` on a fast path only for an exact
+tuple, so `replay`, `cost`, `max_magnitude` and `to_jsonable` walk the
+recorded steps faster than they would walk `Step`s.  The first read of
+`StepTrace.steps` builds each `Step` once, through
+`new_step = partial(tuple.__new__, Step)` (the tuple made in C, skipping the
+NamedTuple's Python-level `__new__`), formats each template with
+`str.format`, passes any other description through, and keeps the `Step`s;
+`to_jsonable` formats each text as it writes it, building no `Step`.
 
 `StepTrace` is an immutable record (see `_record`) wrapping a tuple of
 steps: its length and iteration are the steps', which a tuple base would
@@ -34,7 +36,7 @@ from enum import Enum
 from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from ._record import Record, check_int, echo, member
 from .arith import floor_div
@@ -94,10 +96,25 @@ class _Recorded(Record):
 
 
 class StepTrace(_Recorded):
+    """The steps of one evaluation, each a `Step` or a recorded 4-tuple.
+
+    A step is `(kind, description, operands, result)`; its description is
+    text or a template `(template, *values)`, which the first read of
+    `.steps` formats.  `steps` is kept as given when it is a tuple; any other
+    iterable is copied into a tuple once, here, and anything else raises
+    ValueError.  The elements are not checked: that would charge every body
+    for every step, so a malformed element is the caller's to avoid, and it
+    raises when a walker or the first read of `.steps` meets it.
+    """
+
     __slots__ = ("steps",)
 
-    def __init__(self, steps: tuple[Step, ...] = ()):
-        # Formatted steps or recorded ones; the first read of `.steps` formats any template.
+    def __init__(self, steps: Iterable[tuple] = ()):
+        if steps.__class__ is not tuple:
+            try:
+                steps = tuple(steps)
+            except TypeError:
+                raise ValueError(f"steps must be an iterable of steps, got {echo(steps)}") from None
         _set_recorded(self, steps)
 
     def __len__(self) -> int:
@@ -172,10 +189,13 @@ def _steps(trace: StepTrace) -> tuple[Step, ...]:
         return _get_steps(trace)
     except AttributeError:  # the first read
         pass
-    steps = tuple([
-        new_step((step[0], _format(*step[1]), step[2], step[3])) if step[1].__class__ is tuple else step
-        for step in trace._recorded
-    ])
+    steps = []
+    for step in trace._recorded:  # a recorded tuple or a Step; only a Step with its text is kept as it is
+        if step.__class__ is not Step or step[1].__class__ is tuple:
+            kind, text, operands, result = step
+            step = new_step((kind, _format(*text) if text.__class__ is tuple else text, operands, result))
+        steps.append(step)
+    steps = tuple(steps)
     _set_steps(trace, steps)
     _set_recorded(trace, steps)  # so a trace never holds both
     return steps

@@ -17,7 +17,7 @@ from ydow.dates import CivilDate, parse_date
 from ydow.divisor import DivisorSpec, derive_divisor_formula
 from ydow.pipeline import PipelineId, dow
 from ydow.registry import METHODS, cost_report, evaluate
-from ydow.trace import CostModel, StepKind
+from ydow.trace import CostModel, StepKind, StepTrace
 
 MESSAGE_LIMIT = 200
 
@@ -56,6 +56,8 @@ ENTRY_POINTS = {
     "evaluate": (evaluate, [METHOD_ID, st.one_of(ANY, SMALL)]),
     "year_share": (year_share, [st.one_of(ANY, SMALL)]),
     "cost_report": (cost_report, [st.one_of(ANY, st.lists(METHOD_ID, max_size=3))]),
+    # construction only: a trace's elements are not checked (see the StepTrace docstring)
+    "StepTrace": (lambda steps: len(StepTrace(steps)), [ANY]),
     "dow": (
         lambda method_id, pipeline: dow(CivilDate(2000, 2, 29), method_id, pipeline),
         [METHOD_ID, mixed(*PipelineId, *[p.value for p in PipelineId])],

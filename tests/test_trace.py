@@ -9,7 +9,9 @@ import pytest
 import ydow
 from ydow import registry
 from ydow.arith import SignConvention
+from ydow.dates import CivilDate
 from ydow.divisor import BUILTIN_DIVISOR_SPECS, NotRepresentableError, derive_divisor_formula, eval_divisor
+from ydow.pipeline import PipelineId, dow
 from ydow.registry import METHODS, cost_report, verify_all
 from ydow.trace import (
     DEFAULT_COST_MODEL,
@@ -183,8 +185,11 @@ def every_body():
 
 
 def unformatted(trace) -> bool:
-    """The trace holds its steps as recorded: every description still a template."""
-    return all(step[1].__class__ is tuple for step in trace._recorded)
+    """The trace holds its steps as a body records them: exact tuples, each description still a template.
+
+    A body builds no Step; the first read of .steps builds each one, once.
+    """
+    return all(step.__class__ is tuple and step[1].__class__ is tuple for step in trace._recorded)
 
 
 def test_a_recorded_trace_reads_as_its_formatted_steps():
@@ -209,6 +214,35 @@ def test_a_recorded_trace_reads_as_its_formatted_steps():
             assert check(fresh, ref), (body, y)
 
 
+def jsonable(steps) -> list[dict]:
+    """What to_jsonable writes for these formatted steps."""
+    return [
+        {"kind": step.kind.value, "description": step.description, "operands": list(step.operands),
+         "result": step.result}
+        for step in steps
+    ]
+
+
+# Dates across the 400-year cycle, leap days, and both ends of the range.
+SAMPLE_DATES = [CivilDate(1583, 1, 1), CivilDate(2000, 2, 29), CivilDate(9999, 12, 31)] + [
+    CivilDate(1583 + 97 * i, 1 + i % 12, 1 + 3 * i % 28) for i in range(30)
+]
+
+
+def test_a_traced_dow_reads_as_its_formatted_steps():
+    # a traced dow records the method's formatted Steps, then the assembly's plain tuples
+    for date in SAMPLE_DATES:
+        for method_id in METHODS:
+            for pipeline in PipelineId:
+                trace = dow(date, method_id, pipeline).trace
+                assert {step.__class__ for step in trace._recorded} == {Step, tuple}
+                written = trace.to_jsonable()
+                steps = trace.steps
+                assert all(step.__class__ is Step and step.description.__class__ is str for step in steps)
+                assert written == jsonable(steps) == trace.to_jsonable(), (date, method_id, pipeline)
+                assert dow(date, method_id, pipeline).trace == StepTrace(steps)
+
+
 def test_walkers_and_reports_leave_a_trace_unformatted():
     # they read the recorded steps; to_jsonable formats the texts it writes but keeps none
     for body, y in every_body():
@@ -222,15 +256,33 @@ def test_walkers_and_reports_leave_a_trace_unformatted():
 
 
 def test_no_step_text_is_formatted_eagerly():
-    # A step's text is a template and its values, formatted on first read;
-    # an f-string inside new_step(...) would format it while the body runs.
-    calls, eager = 0, []
+    # A step's text is a template and its values, formatted on first read; an
+    # f-string inside a step record would format it while the body runs.  A
+    # step record is a 4-tuple literal opening with a step kind: a StepKind
+    # constant, or the kind a divisor plan's op names (`pre`, `comb`).
+    kinds = {kind.name for kind in StepKind} | {"pre", "comb"}
+    sites, eager = 0, []
     for path in sorted(Path(ydow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "new_step":
-                calls += 1
+            if (isinstance(node, ast.Tuple) and len(node.elts) == 4 and isinstance(node.elts[0], ast.Name)
+                    and node.elts[0].id in kinds):
+                sites += 1
                 eager += [f"{path.name}:{n.lineno}" for n in ast.walk(node) if isinstance(n, ast.JoinedStr)]
-    assert calls > 50 and eager == []
+    assert sites > 50 and eager == []
+
+
+def test_a_trace_takes_a_tuple_as_it_is_and_copies_any_other_iterable():
+    step = Step(StepKind.SET, "load 1", (1,), 1)
+    steps = (step,)
+    assert StepTrace(steps)._recorded is steps
+    for given in ([step], iter(steps), {step: None}):
+        trace = StepTrace(given)
+        assert trace._recorded.__class__ is tuple and trace == StepTrace(steps)
+        assert hash(trace) == hash(StepTrace(steps))
+    for bad in (5, None, 1.5, 10**5000):
+        with pytest.raises(ValueError, match="^steps must be an iterable of steps, got ") as exc:
+            StepTrace(bad)
+        assert len(str(exc.value)) <= 200
 
 
 def test_only_a_template_description_is_formatted():
@@ -243,5 +295,8 @@ def test_only_a_template_description_is_formatted():
         trace = StepTrace((Step(StepKind.SET, text, (1,), 1),))
         assert trace.to_jsonable()[0]["description"] is text
         assert trace.steps[0].description is text
+        # a plain tuple is read as a Step all the same
+        step = StepTrace(((StepKind.SET, text, (1,), 1),)).steps[0]
+        assert step.__class__ is Step and step.description is text
     trace = StepTrace((Step(StepKind.SET, ("load {}", Text("x")), (1,), 1),))
     assert trace.to_jsonable()[0]["description"] == "load x" == trace.steps[0].description
