@@ -11,14 +11,29 @@ that admits one with the inner q-coefficient in {-1, 0, 1}.
 
 Each `DivisorSpec` compiles its step plan once, when it is constructed:
 which terms are non-zero, whether each is negated, multiplied, added or
-subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).
-`eval_divisor` then only splits y, computes the numbers and records them
-with the plan's templates (see `trace`; they are formatted when a trace's
-text is first read), and `formula()` returns the plan's text of the whole
-formula, so the two write every term alike.  The plan sits in a slot the
-record's fields leave out, so `repr`, `==`, `hash`, pickle, copy and
-`_replace` see only the seven coefficients, and every copy compiles its own
-plan.
+subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).  The
+plan splits into a *shape*, the sequence of `(src, pre, comb)` of its ops
+(which value each term reads, which step takes its multiple, which step adds
+it to the running sum), and the data that fill it in: the divisor, the
+convention, the multipliers and the step templates.  `eval_divisor` runs one
+straight-line kernel per shape, generated and compiled the first time a spec
+of that shape is evaluated and kept in `_KERNELS`: it splits y, computes the
+numbers and records them with the plan's templates (see `trace`; they are
+formatted when a trace's text is first read), with no loop over ops; it
+calls the year check only on a bad year, and then only `StepTrace` and
+`normalize`, as every method body does.  The kernel's source depends on the
+shape alone and holds no value, only fixed names and the ints it computes
+with; every value reaches it as data, so specs that differ only
+in their divisor, multipliers, signs or texts share one kernel, and no text
+of a spec is ever compiled.  The cache needs no bound: shapes are few (each
+of the four other coefficients is zero, 1, -1, another positive or another
+negative value, and the floor coefficient -1, 0 or 1, which allows at most
+741 shapes), and it holds code, never a result, so every call still
+computes its numbers and builds a fresh trace.  `formula()` returns the
+plan's text of the whole formula, so it and the trace write every term
+alike.  The plan sits in a slot the record's fields leave out, as does the
+spec's kernel once found, so `repr`, `==`, `hash`, pickle, copy and
+`_replace` see only the seven fields, and every copy compiles its own plan.
 
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
 own traces.  Running them through `eval_divisor` would keep their values,
@@ -30,10 +45,12 @@ so `cost --model` with a `halve` weight would report a different cost.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ._record import Record, check_int, echo, member
 from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepTrace,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, StepKind, StepTrace,
 )
 
 
@@ -50,11 +67,12 @@ MAX_DIVISOR = 100
 
 
 class _Planned(Record):
-    # Holds a spec's compiled plan.  Record reads a record's fields from the
-    # __slots__ of its own class, so a slot declared here stays out of repr,
-    # ==, hash, pickle, copy and _replace; those rebuild through __init__,
-    # which compiles the plan again.
-    __slots__ = ("_plan",)
+    # Holds a spec's compiled plan and, from its first evaluation, its
+    # shape's kernel.  Record reads a record's fields from the __slots__ of
+    # its own class, so a slot declared here stays out of repr, ==, hash,
+    # pickle, copy and _replace; those rebuild through __init__, which
+    # compiles the plan again.
+    __slots__ = ("_plan", "_kernel")
 
 
 class DivisorSpec(_Planned):
@@ -86,8 +104,9 @@ class DivisorSpec(_Planned):
         for name, value in coefs:
             if not -MAX_COEF <= value <= MAX_COEF:
                 raise ValueError(f"{name} must be in [-{MAX_COEF}, {MAX_COEF}], got {echo(value)}")
-        super().__init__(d, member(SignConvention, convention), coef_q, coef_r, coef_floor, inner_q, inner_r)
-        object.__setattr__(self, "_plan", _compile_plan(coef_q, coef_r, coef_floor, inner_q, inner_r))
+        convention = member(SignConvention, convention)
+        super().__init__(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r)
+        object.__setattr__(self, "_plan", _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
         q, r = divmod_split(y, self.d)
@@ -98,7 +117,7 @@ class DivisorSpec(_Planned):
 
     def formula(self) -> str:
         """The formula as its trace names it, e.g. "q - r - floor((q + r)/4)"."""
-        return self._plan[1]
+        return self._plan[2]
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,24 +141,28 @@ def _append_term(text: str, coef: int, sym: str) -> str:
     return f"{text} + {term}" if coef > 0 else f"{text} - {term}"
 
 
-def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int) -> tuple:
-    """A spec's steps after the split, as ops for `eval_divisor`, and its formula text.
+def _compile_plan(
+    d: int, convention: SignConvention, coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int,
+) -> tuple:
+    """A spec's steps after the split, as a shape and its params, and its formula text.
 
     Each sum (the inner one under the floor, then the outer one) is folded
     left to right over its non-zero coef*value terms; an empty sum reads
     "0", and an inner sum with more than one term is parenthesised.  The
     outer sum's text is the formula, so `formula()` and the trace name every
-    term alike.  Each term is one op
-    `(src, pre, pre_text, m, comb, comb_text)`: it reads vals[src] (q, r
-    or the floor), takes `m` times it in a `pre` step (MUL_SMALL, or
-    SIGN_FLIP for a leading -1; None for no step), then adds it to or
-    subtracts it from the running sum in a `comb` step (None for a leading
-    term, which starts the sum).  Between the sums, one QUARTER_FLOOR op
-    floors the inner sum by four.  The texts are step templates: `pre_text`
-    takes the product, `comb_text` the sum so far, the term and the new sum,
-    and the floor's text the inner sum and its floor.
+    term alike.  Each term is one op, a shape entry `(src, pre, comb)`: it
+    reads vals[src] (q, r or the floor), takes `m` times it in a `pre` step
+    (MUL_SMALL, or SIGN_FLIP for a leading -1; None for no step), then adds
+    it to or subtracts it from the running sum in a `comb` step (None for a
+    leading term, which starts the sum).  Between the sums, one op
+    `(2, QUARTER_FLOOR, None)` floors the inner sum by four.  Each op's data
+    are what its steps need, in this order: the `pre` step's template (it
+    takes the product; the floor's takes the inner sum and its floor), `m`
+    for a MUL_SMALL step, and the `comb` step's template (it takes the sum
+    so far, the term and the new sum).  The params are
+    `(d, convention, *data)`.
     """
-    ops = []
+    shape, data = [], []
 
     def fold(terms: list[tuple[int, int, str]]) -> str:
         text = ""
@@ -150,8 +173,13 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
             pre = None if m == 1 else SIGN_FLIP if m == -1 else MUL_SMALL
             comb = None if not text else ADD_CONST if coef > 0 else SUB_CONST
             text = _append_term(text, coef, sym)
-            ops.append((src, pre, f"-{sym} = {{}}" if m == -1 else f"{m}*{sym} = {{}}", m, comb,
-                        f"{text}: {{}} {'+' if coef > 0 else '-'} {{}} = {{}}"))
+            shape.append((src, pre, comb))
+            if pre is not None:
+                data.append(f"-{sym} = {{}}" if pre is SIGN_FLIP else f"{m}*{sym} = {{}}")
+            if pre is MUL_SMALL:
+                data.append(m)
+            if comb is not None:
+                data.append(f"{text}: {{}} {'+' if coef > 0 else '-'} {{}} = {{}}")
         return text or "0"
 
     terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
@@ -159,10 +187,83 @@ def _compile_plan(coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner
         inner = fold([(inner_q, 0, "q"), (inner_r, 1, "r")])
         if " " in inner:
             inner = f"({inner})"
-        ops.append((2, QUARTER_FLOOR, f"floor({inner}/4) = floor({{}}/4) = {{}}", 0, None, ""))
+        shape.append((2, QUARTER_FLOOR, None))
+        data.append(f"floor({inner}/4) = floor({{}}/4) = {{}}")
         terms.append((coef_floor, 2, f"floor({inner}/4)"))
     text = fold(terms)
-    return tuple(ops), text
+    return tuple(shape), (d, convention, *data), text
+
+
+# What a kernel's source may name besides its own locals; no builtins.
+_KERNEL_GLOBALS = {
+    "__builtins__": {},
+    "int": int,
+    "check_year2": check_year2,
+    "StepTrace": StepTrace,
+    "normalize": normalize,
+    "SPLIT": "split {0} = {1}*{2} + {3} (q={2}, r={3})",
+    "PIN": "value is {}",
+    **{kind.name: kind for kind in StepKind},
+}
+
+# shape -> its kernel, filled as shapes are first evaluated.
+_KERNELS: dict[tuple, Callable[[int, tuple], ShareResult]] = {}
+
+
+def _kernel_source(shape: tuple) -> str:
+    """The source of `kernel(y, params)`, `eval_divisor` for every spec of this shape.
+
+    It unpacks the params once, to d, conv and op i's data t<i> (the
+    `pre` template), m<i> and c<i> (the `comb` template), names op i's
+    product p<i> and its new sum s<i>, and records the same steps the plan
+    describes.  A formula whose last op records no step (a leading term
+    without a multiplier, or no term at all) gets the runtime pin: when the
+    last recorded result is not the value, a SET step records the value.
+    """
+    targets, body = ["d", "conv"], []
+    records = ["(DIV_SPLIT, (SPLIT, y, d, q, r), (y, d), q)"]
+    vals = ("q", "r", "f")
+    acc, last = "0", "q"  # the running sum, and the last recorded result
+    for i, (src, pre, comb) in enumerate(shape):
+        t, m, c = f"t{i}", f"m{i}", f"c{i}"
+        if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as f
+            targets.append(t)
+            body.append(f"f = {acc} // 4")
+            records.append(f"(QUARTER_FLOOR, ({t}, {acc}, f), ({acc},), f)")
+            last = "f"
+            continue
+        operand = vals[src]
+        if pre is SIGN_FLIP:
+            targets.append(t)
+            body.append(f"p{i} = -{operand}")
+            records.append(f"(SIGN_FLIP, ({t}, p{i}), ({operand},), p{i})")
+            operand = last = f"p{i}"
+        elif pre is MUL_SMALL:
+            targets += (t, m)
+            body.append(f"p{i} = {m} * {operand}")
+            records.append(f"(MUL_SMALL, ({t}, p{i}), ({m}, {operand}), p{i})")
+            operand = last = f"p{i}"
+        if comb is None:
+            acc = operand
+        else:
+            targets.append(c)
+            body.append(f"s{i} = {acc} {'+' if comb is ADD_CONST else '-'} {operand}")
+            records.append(f"({comb.name}, ({c}, {acc}, {operand}, s{i}), ({acc}, {operand}), s{i})")
+            acc = last = f"s{i}"
+    lines = [
+        "def kernel(y, params):",
+        f"    {', '.join(targets)} = params",
+        "    if y.__class__ is not int or not 0 <= y <= 99:",
+        "        check_year2(y)",
+        "    q = y // d",
+        "    r = y % d",
+        *[f"    {line}" for line in body],
+        f"    steps = ({', '.join(records)},)",
+    ]
+    if last != acc:  # only the values tell whether the last step already shows the value
+        lines += [f"    if {last} != {acc}:", f"        steps += ((SET, (PIN, {acc}), ({acc},), {acc}),)"]
+    lines.append(f"    return normalize({acc}, conv, StepTrace(steps))")
+    return "\n".join(lines)
 
 
 # The six shipped formulas, kept as data so a single evaluator runs them all.
@@ -190,38 +291,27 @@ def divmod_split(y: int, d: int) -> tuple[int, int]:
 def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     """Evaluate a divisor formula at y, recording one step per mental operation.
 
-    The steps follow the spec's plan (see `_compile_plan`); this only splits
-    y, computes the numbers and records them with the plan's templates.
+    The steps follow the spec's plan (see `_compile_plan`); the kernel of
+    the plan's shape (see `_kernel_source`) splits y, computes the numbers
+    and records them with the plan's templates.
     """
-    d = spec.d
-    q, r = divmod_split(y, d)
-    steps = [(DIV_SPLIT, ("split {0} = {1}*{2} + {3} (q={2}, r={3})", y, d, q, r), (y, d), q)]
-    vals = [q, r, 0]
-    acc = 0
-    for src, pre, pre_text, m, comb, comb_text in spec._plan[0]:
-        if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
-            fval = vals[2] = acc // 4
-            steps.append((QUARTER_FLOOR, (pre_text, acc, fval), (acc,), fval))
-            continue
-        val = vals[src]
-        if pre is None:
-            operand = val
-        elif pre is SIGN_FLIP:
-            operand = -val
-            steps.append((SIGN_FLIP, (pre_text, operand), (val,), operand))
-        else:
-            operand = m * val
-            steps.append((MUL_SMALL, (pre_text, operand), (m, val), operand))
-        if comb is None:
-            acc = operand
-        else:
-            new = acc + operand if comb is ADD_CONST else acc - operand
-            steps.append((comb, (comb_text, acc, operand, new), (acc, operand), new))
-            acc = new
-    if steps[-1][3] != acc:
-        # degenerate single-term formula; pin the final value explicitly
-        steps.append((SET, ("value is {}", acc), (acc,), acc))
-    return normalize(acc, spec.convention, StepTrace(tuple(steps)))
+    try:
+        kernel = spec._kernel
+    except AttributeError:  # the spec's first evaluation
+        kernel = _kernel_of(spec)
+    return kernel(y, spec._plan[1])
+
+
+def _kernel_of(spec: DivisorSpec) -> Callable[[int, tuple], ShareResult]:
+    """The kernel of the spec's shape, compiled if no spec of that shape has been evaluated; kept on the spec."""
+    shape = spec._plan[0]
+    kernel = _KERNELS.get(shape)
+    if kernel is None:
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(_kernel_source(shape), "<ydow.divisor kernel>", "exec"), namespace)
+        kernel = _KERNELS[shape] = namespace["kernel"]
+    object.__setattr__(spec, "_kernel", kernel)
+    return kernel
 
 
 def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorSpec:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
-from operator import itemgetter
+from operator import add, mul, neg, pos, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -70,20 +70,23 @@ class TraceReplayError(ValueError):
     """A recorded step does not match its recomputed arithmetic."""
 
 
-# How replay recomputes each kind from its operand snapshot; one rule per
-# StepKind.  Floors go through floor_div, so a division step with a divisor
-# <= 0 raises ValueError.
+# How replay recomputes each kind from its operands, as `rule(*operands)`;
+# one rule per StepKind.  Each is a C-level callable, so a replayed step
+# costs no Python frame, except DIV_SPLIT's floor_div: its divisor is an
+# operand, and a divisor <= 0 raises ValueError.  A step with the wrong
+# number of operands raises TypeError; an operand that a bound int method
+# does not take, such as a float, makes it return NotImplemented, a mismatch.
 _RULES = {
-    StepKind.SET: itemgetter(0),
-    StepKind.PARITY_TEST: lambda ops: ops[0] % 2,
-    StepKind.ADD_CONST: lambda ops: ops[0] + ops[1],
-    StepKind.SUB_CONST: lambda ops: ops[0] - ops[1],
-    StepKind.HALVE: lambda ops: ops[0] // 2,
-    StepKind.QUARTER_FLOOR: lambda ops: floor_div(ops[0], 4),
-    StepKind.DIV_SPLIT: lambda ops: floor_div(ops[0], ops[1]),
-    StepKind.MUL_SMALL: lambda ops: ops[0] * ops[1],
-    StepKind.MOD7_REDUCE: lambda ops: ops[0] % 7,
-    StepKind.SIGN_FLIP: lambda ops: -ops[0],
+    StepKind.SET: pos,
+    StepKind.PARITY_TEST: (2).__rmod__,
+    StepKind.ADD_CONST: add,
+    StepKind.SUB_CONST: sub,
+    StepKind.HALVE: (2).__rfloordiv__,
+    StepKind.QUARTER_FLOOR: (4).__rfloordiv__,
+    StepKind.DIV_SPLIT: floor_div,
+    StepKind.MUL_SMALL: mul,
+    StepKind.MOD7_REDUCE: (7).__rmod__,
+    StepKind.SIGN_FLIP: neg,
 }
 
 
@@ -128,13 +131,17 @@ class StepTrace(_Recorded):
 
         Raises TraceReplayError if any recorded result disagrees with the
         recomputation.  Returns the result of the last value-producing step,
-        which for a method trace is the method's raw output.
+        which for a method trace is the method's raw output.  A malformed
+        step is not checked for: one with the wrong number of operands
+        raises TypeError, and an operand a kind's int rule does not take,
+        such as a float to halve, reads as a mismatch that recomputed
+        NotImplemented.
         """
         final = None
         for i, (kind, _, operands, result) in enumerate(self._recorded):
             if kind.__class__ is not StepKind:
                 raise TraceReplayError(f"unknown step kind {echo(kind)}")
-            got = _RULES[kind](operands)
+            got = _RULES[kind](*operands)
             if got != result:
                 raise TraceReplayError(
                     f"step {i + 1} ({kind.value}): recorded {result}, recomputed {got}"

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ydow.arith import year_share
+from ydow.arith import SignConvention, check_year2, year_share
 from ydow.dates import CivilDate, parse_date
-from ydow.divisor import DivisorSpec, derive_divisor_formula
+from ydow.divisor import BUILTIN_DIVISOR_SPECS, DivisorSpec, NotRepresentableError, derive_divisor_formula, eval_divisor
 from ydow.pipeline import PipelineId, dow
 from ydow.registry import METHODS, cost_report, evaluate
 from ydow.trace import CostModel, StepKind, StepTrace
@@ -42,6 +42,20 @@ def mixed(*valid):
 
 
 SMALL = st.integers(-30, 3000)
+
+
+def derivable(d, sign):
+    try:
+        return derive_divisor_formula(d, sign)
+    except NotRepresentableError:
+        return None
+
+
+SPEC = st.sampled_from(
+    [*BUILTIN_DIVISOR_SPECS.values()]
+    + [spec for d in range(2, 29) for sign in SignConvention if (spec := derivable(d, sign))]
+)
+YEAR = st.one_of(ANY, SMALL)
 METHOD_ID = mixed(*METHODS)
 SIGN = mixed("pos", "neg")
 KIND = st.one_of(st.sampled_from([k.value for k in StepKind]), st.text(), st.integers(), st.none())
@@ -52,6 +66,7 @@ ENTRY_POINTS = {
     "parse_date": (parse_date, [st.one_of(ANY, st.dates().map(str))]),
     "DivisorSpec": (DivisorSpec, [st.one_of(ANY, SMALL), SIGN] + [st.one_of(ANY, st.integers(-120, 120))] * 5),
     "derive_divisor_formula": (derive_divisor_formula, [st.one_of(ANY, SMALL), SIGN]),
+    "eval_divisor": (eval_divisor, [SPEC, YEAR]),
     "CostModel": (CostModel, [st.one_of(ANY, st.text()), WEIGHTS]),
     "evaluate": (evaluate, [METHOD_ID, st.one_of(ANY, SMALL)]),
     "year_share": (year_share, [st.one_of(ANY, SMALL)]),
@@ -78,3 +93,29 @@ def test_any_value_is_answered_or_refused_in_one_short_message(name, data):
         assert len(message) <= MESSAGE_LIMIT, message
         return
     repr(answer)
+
+
+@settings(deadline=None)
+@given(spec=SPEC, y=YEAR)
+def test_a_divisor_kernel_refuses_a_bad_year_as_check_year2_does(spec, y):
+    try:
+        check_year2(y)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            eval_divisor(spec, y)
+        assert refused.type is ValueError and str(refused.value) == str(exc) and "\n" not in str(exc)
+    else:
+        assert eval_divisor(spec, y).raw == spec.value(y)
+
+
+@pytest.mark.parametrize("y, message", [
+    (100, "two-digit year must be in [0, 99], got 100"),
+    (True, "two-digit year must be an integer, got True"),
+    (5.0, "two-digit year must be an integer, got 5.0"),
+    (10**5000, "two-digit year must be in [0, 99], got <int too large to show>"),
+], ids=["100", "True", "5.0", "10**5000"])
+def test_a_divisor_kernel_names_the_bad_year(y, message):
+    for spec in BUILTIN_DIVISOR_SPECS.values():
+        with pytest.raises(ValueError) as exc:
+            eval_divisor(spec, y)
+        assert str(exc.value) == message

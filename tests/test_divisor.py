@@ -1,9 +1,16 @@
+import ast
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ydow
+from ydow import divisor
 from ydow._record import ECHO_LIMIT
-from ydow.arith import SignConvention, mod7, year_share
+from ydow.arith import SignConvention, mod7, normalize, year_share
 from ydow.divisor import (
     BUILTIN_DIVISOR_SPECS,
     DivisorSpec,
@@ -14,7 +21,9 @@ from ydow.divisor import (
     divmod_split,
     eval_divisor,
 )
-from ydow.trace import StepKind
+from ydow.trace import (
+    ADD_CONST, DIV_SPLIT, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, StepKind, StepTrace,
+)
 
 POS = SignConvention.POSITIVE
 NEG = SignConvention.NEGATIVE
@@ -244,3 +253,135 @@ def test_unknown_sign_convention_is_rejected(value):
     assert len(str(exc.value)) < 2 * ECHO_LIMIT
     with pytest.raises(ValueError, match="is not a valid SignConvention"):
         DivisorSpec(11, value, 0, 1, 1, -1, 1)
+
+
+def reference_eval(spec, y):
+    """The op-by-op interpreter the shape kernels replaced, reading the same plan.
+
+    Each op of the shape, `(src, pre, comb)`, takes its data from the
+    params in order: a `pre` template, `m` for MUL_SMALL and a `comb`
+    template, each only where its step exists (see `_compile_plan`).
+    """
+    shape, params, _ = spec._plan
+    data = iter(params[2:])
+    ops = [
+        (src, pre, next(data) if pre else None, next(data) if pre is MUL_SMALL else None, comb,
+         next(data) if comb else None)
+        for src, pre, comb in shape
+    ]
+    d = spec.d
+    q, r = divmod_split(y, d)
+    steps = [(DIV_SPLIT, ("split {0} = {1}*{2} + {3} (q={2}, r={3})", y, d, q, r), (y, d), q)]
+    vals = [q, r, 0]
+    acc = 0
+    for src, pre, pre_text, m, comb, comb_text in ops:
+        if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
+            fval = vals[2] = acc // 4
+            steps.append((QUARTER_FLOOR, (pre_text, acc, fval), (acc,), fval))
+            continue
+        val = vals[src]
+        if pre is None:
+            operand = val
+        elif pre is SIGN_FLIP:
+            operand = -val
+            steps.append((SIGN_FLIP, (pre_text, operand), (val,), operand))
+        else:
+            operand = m * val
+            steps.append((MUL_SMALL, (pre_text, operand), (m, val), operand))
+        if comb is None:
+            acc = operand
+        else:
+            new = acc + operand if comb is ADD_CONST else acc - operand
+            steps.append((comb, (comb_text, acc, operand, new), (acc, operand), new))
+            acc = new
+    if steps[-1][3] != acc:
+        # degenerate single-term formula; pin the final value explicitly
+        steps.append((SET, ("value is {}", acc), (acc,), acc))
+    return normalize(acc, spec.convention, StepTrace(tuple(steps)))
+
+
+def derivable_specs():
+    specs = []
+    for d in range(2, 29):
+        for conv in (POS, NEG):
+            try:
+                specs.append(derive_divisor_formula(d, conv))
+            except NotRepresentableError:
+                pass
+    return specs
+
+
+# Every coefficient class (zero, 1, -1, another positive, another negative)
+# for each of the four outer and inner coefficients, and every floor
+# coefficient: every shape a spec can have.
+GRID = [(cq, cr, cf, iq, ir) for cq, cr, iq, ir in itertools.product(range(-2, 3), repeat=4) for cf in (-1, 0, 1)]
+
+# The names a kernel's source may use: its own locals, one per op datum,
+# product and sum (six ops at most), and the globals it is given.
+KERNEL_NAMES = (
+    {"y", "params", "d", "conv", "q", "r", "f", "steps"}
+    | {f"{prefix}{i}" for prefix in "tmcps" for i in range(6)}
+    | {"int", "check_year2", "StepTrace", "normalize", "SPLIT", "PIN"}
+    | {kind.name for kind in StepKind}
+)
+
+
+def recorded_alike(got, want):
+    return got.trace._recorded == want.trace._recorded and got[:3] == want[:3]
+
+
+def test_kernels_equal_the_reference_and_compile_once_per_shape(monkeypatch):
+    # one fresh cache, and every source a kernel is compiled from
+    sources = []
+    real_source = divisor._kernel_source
+
+    def kept_source(shape):
+        sources.append(real_source(shape))
+        return sources[-1]
+
+    monkeypatch.setattr(divisor, "_KERNELS", {})
+    monkeypatch.setattr(divisor, "_kernel_source", kept_source)
+    specs = [DivisorSpec(7, POS, *coefs) for coefs in GRID]
+    specs += [DivisorSpec(7, NEG, *coefs) for coefs in GRID[::25]]
+    specs += derivable_specs() + [spec._replace() for spec in BUILTIN_DIVISOR_SPECS.values()]
+    # the recorded tuples, read before `.steps`, decide the formatted steps;
+    # comparing whole results, which formats them, is kept to the specs users
+    # meet.  Specs with equal plans (those with no floor term differ only in
+    # their unused inner coefficients) give the kernel equal input; one of
+    # each runs.
+    assert [
+        (spec, y) for spec in {spec._plan: spec for spec in specs}.values() for y in range(100)
+        if not recorded_alike(eval_divisor(spec, y), reference_eval(spec, y))
+    ] == []
+    for spec in specs[-46:]:
+        assert [eval_divisor(spec, y) for y in range(100)] == [reference_eval(spec, y) for y in range(100)], spec
+    shapes = {spec._plan[0] for spec in specs}
+    assert len(shapes) == 741
+    assert set(divisor._KERNELS) == shapes and len(sources) == len(shapes)
+    for source in sources:
+        nodes = list(ast.walk(ast.parse(source)))
+        assert {type(n.value) for n in nodes if isinstance(n, ast.Constant)} <= {int, type(None)}, source
+        assert {n.id for n in nodes if isinstance(n, ast.Name)} <= KERNEL_NAMES, source
+        assert not any(isinstance(n, ast.JoinedStr) for n in nodes), source
+    # a spec of a shape already seen compiles nothing, whatever its divisor and coefficients
+    other = DivisorSpec(23, NEG, 9, -5, 1, 3, -1)
+    assert eval_divisor(other, 99) == reference_eval(other, 99)
+    assert len(sources) == len(shapes)
+
+
+def test_the_builtin_and_derived_specs_use_24_shapes():
+    specs = derivable_specs() + list(BUILTIN_DIVISOR_SPECS.values())
+    assert len(specs) == 46 and len({spec._plan[0] for spec in specs}) == 24
+
+
+def test_import_ydow_compiles_no_kernel():
+    src = Path(ydow.__file__).resolve().parent.parent
+    code = "import ydow, ydow.divisor as dv; print(len(dv._KERNELS))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["0"]

@@ -10,6 +10,7 @@ sample of dates, mismatching traces included.
 """
 
 import re
+from types import FunctionType
 
 import pytest
 
@@ -27,6 +28,7 @@ from ydow.trace import (
     StepKind,
     StepTrace,
     TraceReplayError,
+    _RULES,
     load_cost_model,
 )
 
@@ -201,6 +203,35 @@ def test_replayed_div_split_with_nonpositive_divisor_raises_value_error():
     for divisor in (0, -3):
         trace = StepTrace((Step(StepKind.DIV_SPLIT, "split", (59, divisor), 0),))
         with pytest.raises(ValueError, match="divisor must be positive"):
+            trace.replay()
+
+
+def test_each_replay_rule_is_a_c_level_callable():
+    # a Python-level rule costs a frame per replayed step; only DIV_SPLIT,
+    # whose divisor is an operand, goes through floor_div to refuse <= 0
+    assert set(_RULES) == set(StepKind)
+    assert [kind for kind, rule in _RULES.items() if isinstance(rule, FunctionType)] == [StepKind.DIV_SPLIT]
+    assert _RULES[StepKind.DIV_SPLIT] is floor_div
+
+
+@pytest.mark.parametrize("kind, operands, result, error", [
+    (StepKind.SET, (1, 2), 1, TypeError),
+    (StepKind.SET, (), 1, TypeError),
+    (StepKind.ADD_CONST, (1,), 1, TypeError),
+    (StepKind.MUL_SMALL, (2, 3, 4), 6, TypeError),
+    (StepKind.DIV_SPLIT, (59,), 4, TypeError),
+    (StepKind.HALVE, (5.0,), 2, "step 1 (halve): recorded 2, recomputed NotImplemented"),
+    (StepKind.PARITY_TEST, (5.0,), 1, "step 1 (parity_test): recorded 1, recomputed NotImplemented"),
+], ids=["set-extra", "set-none", "add-one", "mul-extra", "split-one", "halve-float", "parity-float"])
+def test_replay_refuses_a_malformed_step(kind, operands, result, error):
+    # the rules take the operands as arguments: a wrong count raises
+    # TypeError, and an operand a bound int method refuses reads as a mismatch
+    trace = StepTrace(((kind, "x", operands, result), (StepKind.SET, "x", (1,), 1)))
+    if isinstance(error, str):
+        with pytest.raises(TraceReplayError, match=f"^{re.escape(error)}$"):
+            trace.replay()
+    else:
+        with pytest.raises(error):
             trace.replay()
 
 
