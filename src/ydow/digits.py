@@ -9,9 +9,9 @@ genuinely depend on that.
 
 from __future__ import annotations
 
-from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div, normalize
+from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, StepTrace,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, traced,
 )
 
 
@@ -36,12 +36,12 @@ def eisele(y: int) -> ShareResult:
     steps = (
         (DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q),
         (DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t),
-        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t),
-        (HALVE, ("half the units digit: {}/2 = {}", u, half), (u,), half),
-        (SUB_CONST, ("2t - u/2: {} - {} = {}", 2 * t, half, 2 * t - half), (2 * t, half), 2 * t - half),
-        (ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t - half, r, raw), (2 * t - half, r), raw),
+        (MUL_SMALL, ("twice the tens digit: 2*{1} = {2}",), (2, t), 2 * t),
+        (HALVE, ("half the units digit: {0}/2 = {1}",), (u,), half),
+        (SUB_CONST, ("2t - u/2: {0} - {1} = {2}",), (2 * t, half), 2 * t - half),
+        (ADD_CONST, ("plus the remainder: {0} + {1} = {2}",), (2 * t - half, r), raw),
     )
-    return normalize(raw, POSITIVE, StepTrace(steps))
+    return traced(raw, POSITIVE, steps)
 
 
 def harringer(y: int) -> ShareResult:
@@ -58,12 +58,12 @@ def harringer(y: int) -> ShareResult:
     steps = (
         (DIV_SPLIT, ("largest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q),
         (DIV_SPLIT, ("digits of {}: tens {}, units {}", m, t, u), (m, 10), t),
-        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, 2 * t), (2, t), 2 * t),
-        (MUL_SMALL, ("thrice the units digit: 3*{} = {}", u, 3 * u), (3, u), 3 * u),
-        (ADD_CONST, ("2t + 3u: {} + {} = {}", 2 * t, 3 * u, 2 * t + 3 * u), (2 * t, 3 * u), 2 * t + 3 * u),
-        (ADD_CONST, ("plus the remainder: {} + {} = {}", 2 * t + 3 * u, r, raw), (2 * t + 3 * u, r), raw),
+        (MUL_SMALL, ("twice the tens digit: 2*{1} = {2}",), (2, t), 2 * t),
+        (MUL_SMALL, ("thrice the units digit: 3*{1} = {2}",), (3, u), 3 * u),
+        (ADD_CONST, ("2t + 3u: {0} + {1} = {2}",), (2 * t, 3 * u), 2 * t + 3 * u),
+        (ADD_CONST, ("plus the remainder: {0} + {1} = {2}",), (2 * t + 3 * u, r), raw),
     )
-    return normalize(raw, POSITIVE, StepTrace(steps))
+    return traced(raw, POSITIVE, steps)
 
 
 def digits_aa(y: int) -> ShareResult:
@@ -77,13 +77,13 @@ def digits_aa(y: int) -> ShareResult:
     raw = twot - s2
     steps = (
         split,
-        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot),
-        (ADD_CONST, ("2t + u = {} + {} = {}", twot, u, inner), (twot, u), inner),
-        (QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter),
-        (ADD_CONST, ("add the units digit: {} + {} = {}", quarter, u, s2), (quarter, u), s2),
-        (SUB_CONST, ("subtract that sum from 2t: {} - {} = {}", twot, s2, raw), (twot, s2), raw),
+        (MUL_SMALL, ("twice the tens digit: 2*{1} = {2}",), (2, t), twot),
+        (ADD_CONST, ("2t + u = {0} + {1} = {2}",), (twot, u), inner),
+        (QUARTER_FLOOR, ("its quarter: floor({0}/4) = {1}",), (inner,), quarter),
+        (ADD_CONST, ("add the units digit: {0} + {1} = {2}",), (quarter, u), s2),
+        (SUB_CONST, ("subtract that sum from 2t: {0} - {1} = {2}",), (twot, s2), raw),
     )
-    return normalize(raw, NEGATIVE, StepTrace(steps))
+    return traced(raw, NEGATIVE, steps)
 
 
 def fong(y: int) -> ShareResult:
@@ -95,28 +95,36 @@ def fong(y: int) -> ShareResult:
     """
     check_year2(y)
     t, u, split = _digit_split(y)
-    p = t % 2
     twot = 2 * t
-    steps = [
-        split,
-        (PARITY_TEST, ("tens digit {} is {}", t, "odd" if p else "even"), (t,), p),
-        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot),
-    ]
-    acc = twot
-    if p:
-        steps.append((ADD_CONST, ("tens digit odd: add 10, {} + 10 = {}", acc, acc + 10), (acc, 10), acc + 10))
-        acc += 10
-    steps.append((ADD_CONST, ("add the units digit: {} + {} = {}", acc, u, acc + u), (acc, u), acc + u))
-    acc += u
-    inner = 2 * p + u
-    if p:
-        text = ("tens digit odd: quarter {0} + 2 = {1} instead of {0}", u, inner)
-        steps.append((ADD_CONST, text, (u, 2), inner))
-    quarter = inner // 4
-    steps.append((QUARTER_FLOOR, ("its quarter: floor({}/4) = {}", inner, quarter), (inner,), quarter))
-    raw = acc + quarter
-    steps.append((ADD_CONST, ("add the quarter: {} + {} = {}", acc, quarter, raw), (acc, quarter), raw))
-    return normalize(raw, POSITIVE, StepTrace(tuple(steps)))
+    if t % 2:
+        s1 = twot + 10
+        acc = s1 + u
+        inner = 2 + u
+        quarter = inner // 4
+        raw = acc + quarter
+        steps = (
+            split,
+            (PARITY_TEST, ("tens digit {0} is odd",), (t,), 1),
+            (MUL_SMALL, ("twice the tens digit: 2*{1} = {2}",), (2, t), twot),
+            (ADD_CONST, ("tens digit odd: add 10, {0} + 10 = {2}",), (twot, 10), s1),
+            (ADD_CONST, ("add the units digit: {0} + {1} = {2}",), (s1, u), acc),
+            (ADD_CONST, ("tens digit odd: quarter {0} + 2 = {2} instead of {0}",), (u, 2), inner),
+            (QUARTER_FLOOR, ("its quarter: floor({0}/4) = {1}",), (inner,), quarter),
+            (ADD_CONST, ("add the quarter: {0} + {1} = {2}",), (acc, quarter), raw),
+        )
+    else:
+        acc = twot + u
+        quarter = u // 4
+        raw = acc + quarter
+        steps = (
+            split,
+            (PARITY_TEST, ("tens digit {0} is even",), (t,), 0),
+            (MUL_SMALL, ("twice the tens digit: 2*{1} = {2}",), (2, t), twot),
+            (ADD_CONST, ("add the units digit: {0} + {1} = {2}",), (twot, u), acc),
+            (QUARTER_FLOOR, ("its quarter: floor({0}/4) = {1}",), (u,), quarter),
+            (ADD_CONST, ("add the quarter: {0} + {1} = {2}",), (acc, quarter), raw),
+        )
+    return traced(raw, POSITIVE, steps)
 
 
 def wang(y: int) -> ShareResult:
@@ -135,13 +143,13 @@ def wang(y: int) -> ShareResult:
     raw = diff + quarter
     steps = (
         split,
-        (SUB_CONST, ("units minus tens: {} - {} = {}", u, t, diff), (u, t), diff),
-        (MUL_SMALL, ("twice the tens digit: 2*{} = {}", t, twot), (2, t), twot),
-        (SUB_CONST, ("u - 2t = {} - {} = {}", u, twot, inner), (u, twot), inner),
-        (QUARTER_FLOOR, ("quarter, rounded down: floor({}/4) = {}", inner, quarter), (inner,), quarter),
-        (ADD_CONST, ("add it to u - t: {} + {} = {}", diff, quarter, raw), (diff, quarter), raw),
+        (SUB_CONST, ("units minus tens: {0} - {1} = {2}",), (u, t), diff),
+        (MUL_SMALL, ("twice the tens digit: 2*{1} = {2}",), (2, t), twot),
+        (SUB_CONST, ("u - 2t = {0} - {1} = {2}",), (u, twot), inner),
+        (QUARTER_FLOOR, ("quarter, rounded down: floor({0}/4) = {1}",), (inner,), quarter),
+        (ADD_CONST, ("add it to u - t: {0} + {1} = {2}",), (diff, quarter), raw),
     )
-    return normalize(raw, POSITIVE, StepTrace(steps))
+    return traced(raw, POSITIVE, steps)
 
 
 def digits_ab(y: int) -> ShareResult:
@@ -160,7 +168,7 @@ def digits_ab(y: int) -> ShareResult:
     quarter = floor_div(d, 4)
     raw = -quarter
     if d >= 0:
-        qdesc = ("quarter, rounded down: floor({}/4) = {}", d, quarter)
+        qdesc = ("quarter, rounded down: floor({0}/4) = {1}",)
     elif (-d) % 4:
         qdesc = (
             "quarter of {} is {}, nonzero remainder and sign minus bump it to {}: floor({}/4) = {}",
@@ -170,10 +178,10 @@ def digits_ab(y: int) -> ShareResult:
         qdesc = ("quarter of {} is exactly {}: floor({}/4) = {}", -d, (-d) // 4, d, quarter)
     steps = (
         split,
-        (MUL_SMALL, ("5u = 5*{} = {}", u, fiveu), (5, u), fiveu),
-        (MUL_SMALL, ("6t = 6*{} = {}", t, sixt), (6, t), sixt),
-        (SUB_CONST, ("5u - 6t = {} - {} = {} (remember the sign)", fiveu, sixt, d), (fiveu, sixt), d),
+        (MUL_SMALL, ("5u = 5*{1} = {2}",), (5, u), fiveu),
+        (MUL_SMALL, ("6t = 6*{1} = {2}",), (6, t), sixt),
+        (SUB_CONST, ("5u - 6t = {0} - {1} = {2} (remember the sign)",), (fiveu, sixt), d),
         (QUARTER_FLOOR, qdesc, (d,), quarter),
-        (SIGN_FLIP, ("attach the opposite sign: {}", raw), (quarter,), raw),
+        (SIGN_FLIP, ("attach the opposite sign: {1}",), (quarter,), raw),
     )
-    return normalize(raw, NEGATIVE, StepTrace(steps))
+    return traced(raw, NEGATIVE, steps)

@@ -15,24 +15,28 @@ subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).  The
 plan splits into a *shape*, the sequence of `(src, pre, comb)` of its ops
 (which value each term reads, which step takes its multiple, which step adds
 it to the running sum), and the data that fill it in: the divisor, the
-convention, the multipliers and the step templates.  `eval_divisor` runs one
-straight-line kernel per shape, generated and compiled the first time a spec
-of that shape is evaluated and kept in `_KERNELS`: it splits y, computes the
-numbers and records them with the plan's templates (see `trace`; they are
-formatted when a trace's text is first read), with no loop over ops; it
-calls the year check only on a bad year, and then only `StepTrace` and
-`normalize`, as every method body does.  The kernel's source depends on the
-shape alone and holds no value, only fixed names and the ints it computes
-with; every value reaches it as data, so specs that differ only
-in their divisor, multipliers, signs or texts share one kernel, and no text
-of a spec is ever compiled.  The cache needs no bound: shapes are few (each
+convention, the multipliers and the step templates.  Every template but the
+split's shows only its step's own operands and result, so the plan holds it
+as a lone template, a constant 1-tuple (see `trace`), and the kernel records
+it as it is, with no value tuple.  `eval_divisor` runs one straight-line
+kernel per shape, generated and compiled the first time a spec of that
+shape is evaluated and kept in `_KERNELS`: it splits y, computes the numbers
+and records them with the plan's templates (formatted when a trace's text
+is first read), with no loop over ops; it calls the year check only on a
+bad year, and ends in `trace.traced`, as every method body does.  A spec
+built when its shape's kernel is already compiled takes that kernel at
+construction, so its first evaluation does not look for it.  The kernel's
+source depends on the shape alone and holds no value, only fixed names and
+the ints it computes with; every value reaches it as data, so specs that
+differ only in their divisor, multipliers, signs or texts share one kernel,
+and no text of a spec is ever compiled.  The cache needs no bound: shapes are few (each
 of the four other coefficients is zero, 1, -1, another positive or another
 negative value, and the floor coefficient -1, 0 or 1, which allows at most
 741 shapes), and it holds code, never a result, so every call still
 computes its numbers and builds a fresh trace.  `formula()` returns the
 plan's text of the whole formula, so it and the trace write every term
 alike.  The plan sits in a slot the record's fields leave out, as does the
-spec's kernel once found, so `repr`, `==`, `hash`, pickle, copy and
+spec's kernel once taken, so `repr`, `==`, `hash`, pickle, copy and
 `_replace` see only the seven fields, and every copy compiles its own plan.
 
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
@@ -48,9 +52,9 @@ from __future__ import annotations
 from typing import Callable
 
 from ._record import Record, check_int, echo, member
-from .arith import ShareResult, SignConvention, check_year2, floor_div, normalize
+from .arith import ShareResult, SignConvention, check_year2, floor_div
 from .trace import (
-    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, StepKind, StepTrace,
+    ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, StepKind, traced,
 )
 
 
@@ -106,7 +110,11 @@ class DivisorSpec(_Planned):
                 raise ValueError(f"{name} must be in [-{MAX_COEF}, {MAX_COEF}], got {echo(value)}")
         convention = member(SignConvention, convention)
         super().__init__(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r)
-        object.__setattr__(self, "_plan", _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r))
+        plan = _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r)
+        object.__setattr__(self, "_plan", plan)
+        kernel = _KERNELS.get(plan[0])
+        if kernel is not None:
+            object.__setattr__(self, "_kernel", kernel)
 
     def value(self, y: int) -> int:
         q, r = divmod_split(y, self.d)
@@ -156,11 +164,13 @@ def _compile_plan(
     it to or subtracts it from the running sum in a `comb` step (None for a
     leading term, which starts the sum).  Between the sums, one op
     `(2, QUARTER_FLOOR, None)` floors the inner sum by four.  Each op's data
-    are what its steps need, in this order: the `pre` step's template (it
-    takes the product; the floor's takes the inner sum and its floor), `m`
-    for a MUL_SMALL step, and the `comb` step's template (it takes the sum
-    so far, the term and the new sum).  The params are
-    `(d, convention, *data)`.
+    are what its steps need, in this order: the `pre` step's template, `m`
+    for a MUL_SMALL step, and the `comb` step's template.  Each template is
+    a lone template, a 1-tuple whose fields number its step's operands and
+    then its result: the product's reads `m` and the term, or the term, and
+    the product; the floor's reads the inner sum and its floor; the
+    `comb`'s reads the sum so far, the term and the new sum.  The params
+    are `(d, convention, *data)`.
     """
     shape, data = [], []
 
@@ -174,12 +184,12 @@ def _compile_plan(
             comb = None if not text else ADD_CONST if coef > 0 else SUB_CONST
             text = _append_term(text, coef, sym)
             shape.append((src, pre, comb))
-            if pre is not None:
-                data.append(f"-{sym} = {{}}" if pre is SIGN_FLIP else f"{m}*{sym} = {{}}")
-            if pre is MUL_SMALL:
-                data.append(m)
+            if pre is SIGN_FLIP:
+                data.append((f"-{sym} = {{1}}",))
+            elif pre is MUL_SMALL:
+                data.extend(((f"{m}*{sym} = {{2}}",), m))
             if comb is not None:
-                data.append(f"{text}: {{}} {'+' if coef > 0 else '-'} {{}} = {{}}")
+                data.append((f"{text}: {{0}} {'+' if coef > 0 else '-'} {{1}} = {{2}}",))
         return text or "0"
 
     terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
@@ -188,7 +198,7 @@ def _compile_plan(
         if " " in inner:
             inner = f"({inner})"
         shape.append((2, QUARTER_FLOOR, None))
-        data.append(f"floor({inner}/4) = floor({{}}/4) = {{}}")
+        data.append((f"floor({inner}/4) = floor({{0}}/4) = {{1}}",))
         terms.append((coef_floor, 2, f"floor({inner}/4)"))
     text = fold(terms)
     return tuple(shape), (d, convention, *data), text
@@ -199,10 +209,9 @@ _KERNEL_GLOBALS = {
     "__builtins__": {},
     "int": int,
     "check_year2": check_year2,
-    "StepTrace": StepTrace,
-    "normalize": normalize,
+    "traced": traced,
     "SPLIT": "split {0} = {1}*{2} + {3} (q={2}, r={3})",
-    "PIN": "value is {}",
+    "PIN": ("value is {0}",),
     **{kind.name: kind for kind in StepKind},
 }
 
@@ -216,9 +225,10 @@ def _kernel_source(shape: tuple) -> str:
     It unpacks the params once, to d, conv and op i's data t<i> (the
     `pre` template), m<i> and c<i> (the `comb` template), names op i's
     product p<i> and its new sum s<i>, and records the same steps the plan
-    describes.  A formula whose last op records no step (a leading term
-    without a multiplier, or no term at all) gets the runtime pin: when the
-    last recorded result is not the value, a SET step records the value.
+    describes, each template as it is.  A formula whose last op records no
+    step (a leading term without a multiplier, or no term at all) gets the
+    runtime pin: when the last recorded result is not the value, a SET step
+    records the value.
     """
     targets, body = ["d", "conv"], []
     records = ["(DIV_SPLIT, (SPLIT, y, d, q, r), (y, d), q)"]
@@ -229,26 +239,26 @@ def _kernel_source(shape: tuple) -> str:
         if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as f
             targets.append(t)
             body.append(f"f = {acc} // 4")
-            records.append(f"(QUARTER_FLOOR, ({t}, {acc}, f), ({acc},), f)")
+            records.append(f"(QUARTER_FLOOR, {t}, ({acc},), f)")
             last = "f"
             continue
         operand = vals[src]
         if pre is SIGN_FLIP:
             targets.append(t)
             body.append(f"p{i} = -{operand}")
-            records.append(f"(SIGN_FLIP, ({t}, p{i}), ({operand},), p{i})")
+            records.append(f"(SIGN_FLIP, {t}, ({operand},), p{i})")
             operand = last = f"p{i}"
         elif pre is MUL_SMALL:
             targets += (t, m)
             body.append(f"p{i} = {m} * {operand}")
-            records.append(f"(MUL_SMALL, ({t}, p{i}), ({m}, {operand}), p{i})")
+            records.append(f"(MUL_SMALL, {t}, ({m}, {operand}), p{i})")
             operand = last = f"p{i}"
         if comb is None:
             acc = operand
         else:
             targets.append(c)
             body.append(f"s{i} = {acc} {'+' if comb is ADD_CONST else '-'} {operand}")
-            records.append(f"({comb.name}, ({c}, {acc}, {operand}, s{i}), ({acc}, {operand}), s{i})")
+            records.append(f"({comb.name}, {c}, ({acc}, {operand}), s{i})")
             acc = last = f"s{i}"
     lines = [
         "def kernel(y, params):",
@@ -261,8 +271,8 @@ def _kernel_source(shape: tuple) -> str:
         f"    steps = ({', '.join(records)},)",
     ]
     if last != acc:  # only the values tell whether the last step already shows the value
-        lines += [f"    if {last} != {acc}:", f"        steps += ((SET, (PIN, {acc}), ({acc},), {acc}),)"]
-    lines.append(f"    return normalize({acc}, conv, StepTrace(steps))")
+        lines += [f"    if {last} != {acc}:", f"        steps += ((SET, PIN, ({acc},), {acc}),)"]
+    lines.append(f"    return traced({acc}, conv, steps)")
     return "\n".join(lines)
 
 
@@ -319,30 +329,34 @@ def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorS
 
     Expanding floor(5y/4) at y = d*q + r and splitting 5r into 4r + r gives
     a positive-share shape a*q + r + floor((b*q + r)/4), valid exactly when
-    4a + b is congruent to 5d mod 28 (adding 28 to the inner numerator or 7
-    to the outer coefficient never changes the mod-7 value, and shifting a
-    by k against b by -4k changes nothing at all).  The search keeps the
-    inner coefficient b in {-1, 0, 1} and picks the representative
-    minimizing max(|a|, |b|), breaking ties toward smaller |a|.  The
-    negative-share spec is the termwise negation of the positive one.
+    4a + b is congruent to t = 5d mod 28 (adding 28 to the inner numerator
+    or 7 to the outer coefficient never changes the mod-7 value, and
+    shifting a by k against b by -4k changes nothing at all).  The formula
+    keeps the inner coefficient b in {-1, 0, 1} and, among those, minimizes
+    max(|a|, |b|), then |a|; both choices are forced:
+
+    - 4a + b = t (mod 28) implies b = t (mod 4), and {-1, 0, 1} holds one
+      value of each class but 2, so b = (t + 1) % 4 - 1, and b == 2 means
+      no formula exists (5d is 2 mod 4 exactly when d is);
+    - b fixed, 4a = t - b (mod 28) with t - b a multiple of 4 means
+      a = (t - b) // 4 (mod 7), and the member of that class in [-3, 3],
+      a = ((t - b) // 4 + 3) % 7 - 3, has the smallest |a|, which is then
+      also the smallest max(|a|, |b|), since |b| <= 1 <= 3.
+
+    The negative-share spec is the termwise negation of the positive one.
     """
     check_int("divisor", d)
     if not 2 <= d <= 28:
         raise ValueError(f"divisor must be in [2, 28], got {echo(d)}")
     convention = member(SignConvention, convention)
-    target = (5 * d) % 28
-    candidates = []
-    for b in (-1, 0, 1):
-        for a in range(-9, 10):
-            if (4 * a + b) % 28 == target:
-                candidates.append((max(abs(a), abs(b)), abs(a), a, b))
-    if not candidates:
+    t = 5 * d % 28
+    b = (t + 1) % 4 - 1
+    if b == 2:
         raise NotRepresentableError(
             f"divisor {d}: no formula with inner q-coefficient in -1..1 "
             f"(5*{d} is 2 mod 4, so the inner coefficient would need magnitude 2)"
         )
-    candidates.sort()
-    _, _, a, b = candidates[0]
+    a = ((t - b) // 4 + 3) % 7 - 3
     sign = 1 if convention is SignConvention.POSITIVE else -1
     if b == 0 and d <= 4:
         # r < 4 makes floor(r/4) identically zero; drop the term
@@ -363,10 +377,10 @@ def div4(y: int) -> ShareResult:
     raw = half - r
     steps = (
         (DIV_SPLIT, ("highest multiple of four not exceeding {} is {}, remainder {}", y, m, r), (y, 4), q),
-        (HALVE, ("half of {} is {}", m, half), (m,), half),
-        (SUB_CONST, ("minus the remainder: {} - {} = {}", half, r, raw), (half, r), raw),
+        (HALVE, ("half of {0} is {1}",), (m,), half),
+        (SUB_CONST, ("minus the remainder: {0} - {1} = {2}",), (half, r), raw),
     )
-    return normalize(raw, spec.convention, StepTrace(steps))
+    return traced(raw, spec.convention, steps)
 
 
 def div12(y: int) -> ShareResult:
@@ -381,8 +395,8 @@ def div12(y: int) -> ShareResult:
     raw = q + r + fours
     steps = (
         (DIV_SPLIT, ("dozens in {}: {}, remainder {}", y, q, r), (y, 12), q),
-        (QUARTER_FLOOR, ("fours in the remainder: floor({}/4) = {}", r, fours), (r,), fours),
-        (ADD_CONST, ("dozens plus remainder: {} + {} = {}", q, r, q + r), (q, r), q + r),
-        (ADD_CONST, ("plus the fours: {} + {} = {}", q + r, fours, raw), (q + r, fours), raw),
+        (QUARTER_FLOOR, ("fours in the remainder: floor({0}/4) = {1}",), (r,), fours),
+        (ADD_CONST, ("dozens plus remainder: {0} + {1} = {2}",), (q, r), q + r),
+        (ADD_CONST, ("plus the fours: {0} + {1} = {2}",), (q + r, fours), raw),
     )
-    return normalize(raw, spec.convention, StepTrace(steps))
+    return traced(raw, spec.convention, steps)

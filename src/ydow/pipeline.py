@@ -137,6 +137,10 @@ def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -
     Both assemblies open by reducing the share in the sign they consume
     (positive for Doomsday, negative for First-Sunday) and close with one
     mod-7 reduction to the weekday number.  Only the steps between differ.
+
+    The steps record their templates with values, not as lone templates
+    (see `trace`): a traced dow is built to be shown, and a lone template
+    saves a tuple when recorded but costs more than that when formatted.
     """
     # The method's formatted steps: its memoised trace formats them once for every later read.
     steps = list(share.trace.steps) if share.trace is not None else []

@@ -8,8 +8,8 @@ ShareResult.
 
 from __future__ import annotations
 
-from .arith import NEGATIVE, ShareResult, check_year2, normalize
-from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, StepTrace
+from .arith import NEGATIVE, ShareResult, check_year2
+from .trace import ADD_CONST, HALVE, PARITY_TEST, SET, SUB_CONST, traced
 
 
 def odd11(y: int) -> ShareResult:
@@ -20,22 +20,21 @@ def odd11(y: int) -> ShareResult:
     2a + 12b + 6c.
     """
     check_year2(y)
-    steps = []
     ys = y
-    steps.append((SET, ("set YS to {}", ys), (ys,), ys))
-    if ys % 2 == 1:
-        steps.append((ADD_CONST, ("YS is odd: add 11, {} + 11 = {}", ys, ys + 11), (ys, 11), ys + 11))
+    if ys % 2:
+        first = (ADD_CONST, ("YS is odd: add 11, {0} + 11 = {2}",), (ys, 11), ys + 11)
         ys += 11
     else:
-        steps.append((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2))
-    steps.append((HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2))
-    ys //= 2
-    if ys % 2 == 1:
-        steps.append((ADD_CONST, ("YS is odd: add 11, {} + 11 = {}", ys, ys + 11), (ys, 11), ys + 11))
-        ys += 11
+        first = (PARITY_TEST, ("YS is even: leave {0} unchanged",), (ys,), 0)
+    half = ys // 2
+    if half % 2:
+        last = (ADD_CONST, ("YS is odd: add 11, {0} + 11 = {2}",), (half, 11), half + 11)
+        raw = half + 11
     else:
-        steps.append((PARITY_TEST, ("YS is even: leave {} unchanged", ys), (ys,), ys % 2))
-    return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))
+        last = (PARITY_TEST, ("YS is even: leave {0} unchanged",), (half,), 0)
+        raw = half
+    steps = ((SET, ("set YS to {0}",), (y,), y), first, (HALVE, ("halve: {0} / 2 = {1}",), (ys,), half), last)
+    return traced(raw, NEGATIVE, steps)
 
 
 def parity3(y: int) -> ShareResult:
@@ -48,21 +47,19 @@ def parity3(y: int) -> ShareResult:
     slightly negative for y < 4; the algebra stays valid, so no clamping.
     """
     check_year2(y)
-    steps = []
     ys = y
-    steps.append((SET, ("set YS to {}", ys), (ys,), ys))
     remembered = ys % 2  # step-ii parity flag, reused verbatim in step iv
     if remembered:
-        text = ("YS is odd (remember: odd): subtract 3, {} - 3 = {}", ys, ys - 3)
-        steps.append((SUB_CONST, text, (ys, 3), ys - 3))
+        first = (SUB_CONST, ("YS is odd (remember: odd): subtract 3, {0} - 3 = {2}",), (ys, 3), ys - 3)
         ys -= 3
     else:
-        steps.append((PARITY_TEST, ("YS is even (remember: even): leave {} unchanged", ys), (ys,), ys % 2))
-    steps.append((HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2))
-    ys //= 2
-    if ys % 2 != remembered:
-        steps.append((SUB_CONST, ("parity changed: subtract 3, {} - 3 = {}", ys, ys - 3), (ys, 3), ys - 3))
-        ys -= 3
+        first = (PARITY_TEST, ("YS is even (remember: even): leave {0} unchanged",), (ys,), 0)
+    half = ys // 2
+    if half % 2 != remembered:
+        last = (SUB_CONST, ("parity changed: subtract 3, {0} - 3 = {2}",), (half, 3), half - 3)
+        raw = half - 3
     else:
-        steps.append((PARITY_TEST, ("parity unchanged: leave {} as is", ys), (ys,), ys % 2))
-    return normalize(ys, NEGATIVE, StepTrace(tuple(steps)))
+        last = (PARITY_TEST, ("parity unchanged: leave {0} as is",), (half,), remembered)
+        raw = half
+    steps = ((SET, ("set YS to {0}",), (y,), y), first, (HALVE, ("halve: {0} / 2 = {1}",), (ys,), half), last)
+    return traced(raw, NEGATIVE, steps)

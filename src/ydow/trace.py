@@ -11,17 +11,33 @@ an attribute of an Enum class is read through EnumType's Python-level
 `__getattr__` hook, a global is not.
 
 A body builds no `Step` and formats no text.  It records each step as a plain
-4-tuple, `(HALVE, ("halve: {} / 2 = {}", ys, ys // 2), (ys,), ys // 2)`: the
-kind, a template with the values it needs, the operands and the result.  An
-exact tuple is the cheapest record to build, and CPython unpacks
+4-tuple, `(HALVE, ("halve: {0} / 2 = {1}",), (ys,), ys // 2)`: the kind, a
+description, the operands and the result.  A description takes one of three
+forms:
+
+- a lone template, a 1-tuple `(template,)`, whose fields number the step's
+  operands and then its result, read as `template.format(*operands, result)`.
+  A step whose text shows only its own numbers records its template this
+  way, as a constant, so each number is recorded once;
+- a template with the values it needs, `(template, *values)`, read as
+  `template.format(*values)`, for a text that shows a number or word the
+  step does not hold, such as the units digit beside a split's quotient;
+- anything else, such as text, which passes through as it is.
+
+An exact tuple is the cheapest record to build, and CPython unpacks
 `for kind, text, operands, result in ...` on a fast path only for an exact
 tuple, so `replay`, `cost`, `max_magnitude` and `to_jsonable` walk the
 recorded steps faster than they would walk `Step`s.  The first read of
 `StepTrace.steps` builds each `Step` once, through
 `new_step = partial(tuple.__new__, Step)` (the tuple made in C, skipping the
-NamedTuple's Python-level `__new__`), formats each template with
-`str.format`, passes any other description through, and keeps the `Step`s;
-`to_jsonable` formats each text as it writes it, building no `Step`.
+NamedTuple's Python-level `__new__`), formats each description and keeps
+the `Step`s; `to_jsonable` formats each text as it writes it, building no
+`Step`.
+
+A body ends with `traced(raw, convention, steps)`, the one constructor of a
+traced result: it wraps the exact tuple of steps in a new `StepTrace`
+without calling the class, and hands it to `arith.normalize`, which keeps
+the residue rule.  `StepTrace(steps)` stays the public constructor.
 
 `StepTrace` is an immutable record (see `_record`) wrapping a tuple of
 steps: its length and iteration are the steps', which a tuple base would
@@ -39,7 +55,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from ._record import Record, check_int, echo, member
-from .arith import floor_div
+from .arith import ShareResult, SignConvention, floor_div, normalize
 
 
 class StepKind(str, Enum):
@@ -102,10 +118,13 @@ class StepTrace(_Recorded):
     """The steps of one evaluation, each a `Step` or a recorded 4-tuple.
 
     A step is `(kind, description, operands, result)`; its description is
-    text or a template `(template, *values)`, which the first read of
-    `.steps` formats.  `steps` is kept as given when it is a tuple; any other
-    iterable is copied into a tuple once, here, and anything else raises
-    ValueError.  The elements are not checked: that would charge every body
+    text, a lone template `(template,)` read as
+    `template.format(*operands, result)`, or a template with its values
+    `(template, *values)` read as `template.format(*values)`.  The first read
+    of `.steps` formats it.  A method body builds its trace through `traced`;
+    this is the public constructor.  `steps` is kept as given when it is a
+    tuple; any other iterable is copied into a tuple once, here, and anything
+    else raises ValueError.  The elements are not checked: that would charge every body
     for every step, so a malformed element is the caller's to avoid, and it
     raises when a walker or the first read of `.steps` meets it.
     """
@@ -135,17 +154,20 @@ class StepTrace(_Recorded):
         step is not checked for: one with the wrong number of operands
         raises TypeError, and an operand a kind's int rule does not take,
         such as a float to halve, reads as a mismatch that recomputed
-        NotImplemented.
+        NotImplemented.  A mismatch names the first failing step; the walk
+        counts no steps, and the failing step's number is found only then.
         """
+        recorded = self._recorded
         final = None
-        for i, (kind, _, operands, result) in enumerate(self._recorded):
+        for step in recorded:
+            kind, _, operands, result = step
             if kind.__class__ is not StepKind:
                 raise TraceReplayError(f"unknown step kind {echo(kind)}")
             got = _RULES[kind](*operands)
             if got != result:
-                raise TraceReplayError(
-                    f"step {i + 1} ({kind.value}): recorded {result}, recomputed {got}"
-                )
+                # by identity: an equal step earlier on may hold a 5 where this one holds a 5.0
+                number = next(i for i, other in enumerate(recorded, 1) if other is step)
+                raise TraceReplayError(f"step {number} ({kind.value}): recorded {result}, recomputed {got}")
             # PARITY_TEST inspects a value without producing a new working
             # value; every other kind yields a number later steps may build on
             if kind is not PARITY_TEST:
@@ -171,10 +193,12 @@ class StepTrace(_Recorded):
 
     def to_jsonable(self) -> list[dict]:
         # From the recorded steps: a trace is written once, so its formatted steps are not kept.
+        # The description is formatted as `_steps` formats it, inline: a call per step would cost a frame.
         return [
             {
                 "kind": kind._value_,  # a plain attribute; Enum's .value is a Python-level property
-                "description": _format(*text) if text.__class__ is tuple else text,
+                "description": text if text.__class__ is not tuple
+                else text[0].format(*operands, result) if len(text) == 1 else _format(*text),
                 "operands": list(operands),
                 "result": result,
             }
@@ -189,6 +213,20 @@ _get_steps = StepTrace.steps.__get__
 _set_steps = StepTrace.steps.__set__
 _set_recorded = _Recorded._recorded.__set__
 _format = str.format
+_blank_trace = partial(object.__new__, StepTrace)
+
+
+def traced(raw: int, convention: SignConvention, steps: tuple) -> ShareResult:
+    """A method's result, `raw` under `convention`, with the exact tuple `steps` as its trace.
+
+    The one constructor every method body ends with.  It fills the new
+    trace's slot without calling the class, whose `__init__` would check
+    that `steps` is a tuple, which a body's literal always is, and leaves
+    the residue to `normalize`.
+    """
+    trace = _blank_trace()
+    _set_recorded(trace, steps)
+    return normalize(raw, convention, trace)
 
 
 def _steps(trace: StepTrace) -> tuple[Step, ...]:
@@ -200,7 +238,9 @@ def _steps(trace: StepTrace) -> tuple[Step, ...]:
     for step in trace._recorded:  # a recorded tuple or a Step; only a Step with its text is kept as it is
         if step.__class__ is not Step or step[1].__class__ is tuple:
             kind, text, operands, result = step
-            step = new_step((kind, _format(*text) if text.__class__ is tuple else text, operands, result))
+            if text.__class__ is tuple:  # a lone template reads the operands, then the result
+                text = text[0].format(*operands, result) if len(text) == 1 else _format(*text)
+            step = new_step((kind, text, operands, result))
         steps.append(step)
     steps = tuple(steps)
     _set_steps(trace, steps)
@@ -228,14 +268,23 @@ DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
 })
 
 
-class CostModel(Record):
+class _Priced(Record):
+    # Holds the `get` of the plain dict that a model's read-only `weights`
+    # wraps: `cost` calls it once per step, and a dict's `get` is about
+    # twice as fast as a mappingproxy's.  A slot declared here stays out of
+    # the record's fields (see `_Recorded`).
+    __slots__ = ("_get",)
+
+
+class CostModel(_Priced):
     """Weights one unit of mental effort per step kind.
 
     The name must be a str, the weights a mapping, every key must name a
     StepKind (a member or its value) and every weight must be a nonnegative
     int (a bool is not); anything else raises ValueError.  The model keeps a
     read-only copy of the weights, keyed on StepKind, so no caller can
-    reprice a shared model after the fact.  Equal models hash equal; the hash reads the name only.
+    reprice a shared model after the fact; a kind it does not weigh costs 0.
+    Equal models hash equal; the hash reads the name only.
     """
 
     __slots__ = ("name", "weights")
@@ -253,6 +302,7 @@ class CostModel(Record):
                 raise ValueError(f"negative weight for {kind.value}: {echo(w)}")
             checked[kind] = w
         super().__init__(name, MappingProxyType(checked))
+        _set_get(self, checked.get)
 
     def __hash__(self) -> int:
         return hash((self.name,))
@@ -262,11 +312,14 @@ class CostModel(Record):
         return CostModel, (self.name, dict(self.weights))
 
     def cost(self, trace: StepTrace) -> int:
-        get = self.weights.get
+        get = self._get
         total = 0
         for step in trace._recorded:
             total += get(step[0], 0)
         return total
+
+
+_set_get = _Priced._get.__set__
 
 
 DEFAULT_COST_MODEL = CostModel()

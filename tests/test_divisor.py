@@ -1,6 +1,7 @@
 import ast
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,40 @@ def test_derived_specs_verify_exhaustively():
                 assert spec_residue(spec, y) == year_share(y), (d, conv, y)
 
 
+def search_divisor_formula(d, convention):
+    """The search the closed form replaced: every a in -9..9 and b in -1..1 with
+    4a + b = 5d (mod 28), the smallest max(|a|, |b|) first, then the smallest |a|."""
+    target = (5 * d) % 28
+    candidates = sorted(
+        (max(abs(a), abs(b)), abs(a), a, b) for b in (-1, 0, 1) for a in range(-9, 10) if (4 * a + b) % 28 == target
+    )
+    if not candidates:
+        raise NotRepresentableError(
+            f"divisor {d}: no formula with inner q-coefficient in -1..1 "
+            f"(5*{d} is 2 mod 4, so the inner coefficient would need magnitude 2)"
+        )
+    _, _, a, b = candidates[0]
+    sign = 1 if convention is POS else -1
+    if b == 0 and d <= 4:
+        return DivisorSpec(d, convention, sign * a, sign, 0, 0, 0)
+    return DivisorSpec(d, convention, sign * a, sign, sign, b, 1)
+
+
+def outcome(derive, d, convention):
+    try:
+        return derive(d, convention)
+    except NotRepresentableError as exc:
+        return str(exc)
+
+
+def test_the_closed_form_derivation_equals_the_search():
+    inputs = [(d, conv) for d in range(2, 29) for conv in (POS, NEG)]
+    assert len(inputs) == 54
+    for d, conv in inputs:
+        assert outcome(derive_divisor_formula, d, conv) == outcome(search_divisor_formula, d, conv), (d, conv)
+    assert sum(isinstance(outcome(derive_divisor_formula, d, conv), str) for d, conv in inputs) == 14
+
+
 def test_not_representable_divisors():
     # 5d = 2 mod 4 exactly when d = 2 mod 4; no inner coefficient in
     # {-1,0,1} can make up a parity-2 defect
@@ -261,6 +296,7 @@ def reference_eval(spec, y):
     Each op of the shape, `(src, pre, comb)`, takes its data from the
     params in order: a `pre` template, `m` for MUL_SMALL and a `comb`
     template, each only where its step exists (see `_compile_plan`).
+    Every template but the split's is a lone template, recorded as it is.
     """
     shape, params, _ = spec._plan
     data = iter(params[2:])
@@ -277,26 +313,26 @@ def reference_eval(spec, y):
     for src, pre, pre_text, m, comb, comb_text in ops:
         if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
             fval = vals[2] = acc // 4
-            steps.append((QUARTER_FLOOR, (pre_text, acc, fval), (acc,), fval))
+            steps.append((QUARTER_FLOOR, pre_text, (acc,), fval))
             continue
         val = vals[src]
         if pre is None:
             operand = val
         elif pre is SIGN_FLIP:
             operand = -val
-            steps.append((SIGN_FLIP, (pre_text, operand), (val,), operand))
+            steps.append((SIGN_FLIP, pre_text, (val,), operand))
         else:
             operand = m * val
-            steps.append((MUL_SMALL, (pre_text, operand), (m, val), operand))
+            steps.append((MUL_SMALL, pre_text, (m, val), operand))
         if comb is None:
             acc = operand
         else:
             new = acc + operand if comb is ADD_CONST else acc - operand
-            steps.append((comb, (comb_text, acc, operand, new), (acc, operand), new))
+            steps.append((comb, comb_text, (acc, operand), new))
             acc = new
     if steps[-1][3] != acc:
         # degenerate single-term formula; pin the final value explicitly
-        steps.append((SET, ("value is {}", acc), (acc,), acc))
+        steps.append((SET, ("value is {0}",), (acc,), acc))
     return normalize(acc, spec.convention, StepTrace(tuple(steps)))
 
 
@@ -321,7 +357,7 @@ GRID = [(cq, cr, cf, iq, ir) for cq, cr, iq, ir in itertools.product(range(-2, 3
 KERNEL_NAMES = (
     {"y", "params", "d", "conv", "q", "r", "f", "steps"}
     | {f"{prefix}{i}" for prefix in "tmcps" for i in range(6)}
-    | {"int", "check_year2", "StepTrace", "normalize", "SPLIT", "PIN"}
+    | {"int", "check_year2", "traced", "SPLIT", "PIN"}
     | {kind.name for kind in StepKind}
 )
 
@@ -372,6 +408,23 @@ def test_kernels_equal_the_reference_and_compile_once_per_shape(monkeypatch):
 def test_the_builtin_and_derived_specs_use_24_shapes():
     specs = derivable_specs() + list(BUILTIN_DIVISOR_SPECS.values())
     assert len(specs) == 46 and len({spec._plan[0] for spec in specs}) == 24
+
+
+def test_a_new_spec_takes_its_shapes_kernel_when_it_is_compiled(monkeypatch):
+    monkeypatch.setattr(divisor, "_KERNELS", {})
+    first = DivisorSpec(19, POS, 3, -2, 1, 1, -1)
+    assert not hasattr(first, "_kernel")  # no kernel of its shape yet
+    eval_divisor(first, 57)
+    kernel = first._kernel
+    assert list(divisor._KERNELS.values()) == [kernel]
+    # a spec of the same shape, built afterwards, has it from the start
+    second = DivisorSpec(23, NEG, 5, -4, 1, 1, -1)
+    assert second._plan[0] == first._plan[0] and second._kernel is kernel
+    assert second._replace()._kernel is kernel and pickle.loads(pickle.dumps(second))._kernel is kernel
+    assert eval_divisor(second, 57) == reference_eval(second, 57)
+    # a spec of another shape waits for its first evaluation
+    other = DivisorSpec(23, NEG, 5, -4, 0, 0, 0)
+    assert not hasattr(other, "_kernel")
 
 
 def test_import_ydow_compiles_no_kernel():

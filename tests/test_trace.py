@@ -300,3 +300,53 @@ def test_only_a_template_description_is_formatted():
         assert step.__class__ is Step and step.description is text
     trace = StepTrace((Step(StepKind.SET, ("load {}", Text("x")), (1,), 1),))
     assert trace.to_jsonable()[0]["description"] == "load x" == trace.steps[0].description
+    # a template with its values reads the values only, whatever the step holds
+    trace = StepTrace(((StepKind.ADD_CONST, ("{} and {}", "a", 9), (2, 3), 5),))
+    assert trace.to_jsonable()[0]["description"] == "a and 9" == trace.steps[0].description
+
+
+@pytest.mark.parametrize("template, text", [
+    ("{0} + {1} = {2}", "2 + 3 = 5"),
+    ("{2} is {0} plus {1}", "5 is 2 plus 3"),
+    ("{} + {} = {}", "2 + 3 = 5"),
+    ("sum of {0} and {1}", "sum of 2 and 3"),
+    ("no fields", "no fields"),
+], ids=["in-order", "result-first", "auto", "operands-only", "no-fields"])
+def test_a_lone_template_reads_the_operands_then_the_result(template, text):
+    # a 1-tuple names no values: its fields number the step's operands, then its result
+    step = (StepKind.ADD_CONST, (template,), (2, 3), 5)
+    assert StepTrace((step,)).to_jsonable()[0]["description"] == text
+    assert StepTrace((step,)).steps[0] == (StepKind.ADD_CONST, text, (2, 3), 5)
+    assert StepTrace((Step(*step),)).steps[0].description == text
+    # one operand, and a field past the result, which a lone template cannot name
+    assert StepTrace(((StepKind.HALVE, ("{0} / 2 = {1}",), (7,), 3),)).steps[0].description == "7 / 2 = 3"
+    with pytest.raises(IndexError):
+        StepTrace(((StepKind.HALVE, ("{2}",), (7,), 3),)).steps
+
+
+def own_number_templates(traces) -> list[str]:
+    """The templates recorded with values that, wherever the template is met, are only its step's own numbers.
+
+    Such a step shows nothing its operands and result do not hold, so it
+    should record a lone template instead.  A value may coincide with an
+    operand in some years (a units digit equal to the tens digit), so a
+    template is reported only when every step recording it holds nothing else.
+    """
+    own_only = {}
+    for trace in traces:
+        for kind, text, operands, result in trace._recorded:
+            if text.__class__ is tuple and len(text) > 1:
+                own = {*operands, result}
+                alone = all(v.__class__ is int and v in own for v in text[1:])
+                own_only[text[0]] = own_only.get(text[0], True) and alone
+    return sorted(template for template, alone in own_only.items() if alone)
+
+
+def test_no_recorded_values_are_only_the_steps_own_numbers():
+    # every body and derivable spec in every year; a traced dow's assembly
+    # records values on purpose (see `pipeline._build_trace`)
+    traces = [body(y).trace for body, y in every_body()]
+    assert own_number_templates(traces) == []
+    # the guard sees a template that records only its step's own numbers
+    halve = (StepKind.HALVE, ("halve: {} / 2 = {}", 70, 35), (70,), 35)
+    assert own_number_templates(traces + [StepTrace((halve,))]) == ["halve: {} / 2 = {}"]

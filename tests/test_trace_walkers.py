@@ -9,12 +9,15 @@ agree with them on every year, and so must the day-of-week traces of a
 sample of dates, mismatching traces included.
 """
 
+import copy
+import pickle
 import re
 from types import FunctionType
 
 import pytest
 
 from ydow import registry
+from ydow._record import FrozenInstanceError
 from ydow.arith import ShareResult, SignConvention, floor_div, mod7, normalize
 from ydow.dates import CivilDate
 from ydow.divisor import NotRepresentableError, derive_divisor_formula, eval_divisor
@@ -305,3 +308,60 @@ def test_cost_model_is_hashable_and_equal_models_hash_equal(tmp_path):
     assert loaded == DEFAULT_COST_MODEL
     assert hash(loaded) == hash(DEFAULT_COST_MODEL)
     assert len({CostModel(), loaded, FLAT}) == 2
+
+
+def test_a_partial_weight_map_prices_a_missing_kind_at_zero():
+    trace = StepTrace((
+        (StepKind.SET, "x", (59,), 59),
+        (StepKind.ADD_CONST, "x", (59, 11), 70),
+        (StepKind.HALVE, "x", (70,), 35),
+        (StepKind.QUARTER_FLOOR, "x", (35,), 8),
+    ))
+    assert PARTIAL.cost(trace) == 5 + 7
+    assert CostModel("halve only", {"halve": 3}).cost(trace) == 3
+    assert CostModel("none", {}).cost(trace) == 0
+    # so is a kind that names no StepKind
+    assert PARTIAL.cost(StepTrace((("telepathy", "x", (70,), 35),))) == 0
+
+
+def test_cost_model_weights_reject_assignment():
+    model = CostModel("m", {StepKind.HALVE: 2})
+    with pytest.raises(TypeError):
+        model.weights[StepKind.HALVE] = 50
+    with pytest.raises(TypeError):
+        model.weights[StepKind.SET] = 50
+    for name in ("weights", "_get"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, {})
+    assert dict(model.weights) == {StepKind.HALVE: 2}
+    assert model.cost(StepTrace(((StepKind.HALVE, "x", (4,), 2), (StepKind.SET, "x", (1,), 1)))) == 2
+
+
+def test_the_cost_models_private_lookup_stays_out_of_the_record():
+    # the lookup `cost` reads sits in a slot outside the record's fields
+    model = CostModel("m", {StepKind.HALVE: 2, StepKind.SET: 1})
+    trace = StepTrace(((StepKind.SET, "x", (4,), 4), (StepKind.HALVE, "x", (4,), 2)))
+    assert CostModel.__slots__ == ("name", "weights")
+    assert repr(model) == (
+        "CostModel(name='m', weights=mappingproxy({<StepKind.HALVE: 'halve'>: 2, <StepKind.SET: 'set'>: 1}))"
+    )
+    assert model == CostModel("m", {"set": 1, "halve": 2}) and hash(model) == hash(CostModel("m", {}))
+    for twin in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model), model._replace()):
+        assert twin == model and twin._get is not model._get and twin.cost(trace) == 3
+    repriced = model._replace(weights={StepKind.HALVE: 5})
+    assert repriced.cost(trace) == 5 and model.cost(trace) == 3
+
+
+def test_replay_names_the_first_of_identical_failing_steps():
+    good = (StepKind.SET, "x", (4,), 4)
+    bad = (StepKind.HALVE, "x", (4,), 3)
+    # the same object twice, and two equal objects
+    for twin in (bad, (StepKind.HALVE, "x", (4,), 3)):
+        trace = StepTrace((good, good, bad, good, twin))
+        with pytest.raises(TraceReplayError, match=r"^step 3 \(halve\): recorded 3, recomputed 2$"):
+            trace.replay()
+    # an equal step earlier on that passes is not the one named: 5 == 5.0, but 5.0 // 2 is refused
+    trace = StepTrace(((StepKind.HALVE, "x", (5,), 2), (StepKind.HALVE, "x", (5.0,), 2)))
+    assert trace._recorded[0] == trace._recorded[1]
+    with pytest.raises(TraceReplayError, match=r"^step 2 \(halve\): recorded 2, recomputed NotImplemented$"):
+        trace.replay()
