@@ -8,9 +8,15 @@ input shares.
 
 `Record` gives ydow's record types what a frozen dataclass gave them, without
 importing `dataclasses` or paying for its class creation at import time.  A
-subclass lists its fields in `__slots__`; the base derives from them:
+subclass names its fields, in order, in `_fields`, as a NamedTuple does, and
+declares its own `__slots__`: one slot per field, in that order, then its
+private state, each private slot's name starting with `_`.  A record without
+private state writes `__slots__ = _fields = (...)`.  (`StepTrace` holds only
+private slots: its one field, `steps`, is a property over them.)  Every
+behaviour below reads `_fields` alone, so private state stays out of all of
+them:
 
-- a constructor that takes one argument per field, in `__slots__` order, by
+- a constructor that takes one argument per field, in `_fields` order, by
   position or by name, and raises TypeError for a field that is missing,
   repeated or unknown;
 - the dataclass repr, `Name(field=value, ...)`, with `echo`'s fallback
@@ -22,7 +28,7 @@ subclass lists its fields in `__slots__`; the base derives from them:
 - `_replace(**changes)`, a copy with some fields changed.
 
 A record that checks its input runs its checks and then `Record.__init__`.
-`CivilDate` and `StepTrace` store their fields themselves, through
+`CivilDate` and `StepTrace` store their state themselves, through
 `object.__setattr__` or the slot's descriptor: they are built once per
 parsed date and once per method evaluation, and the generic constructor
 costs 1-2 µs more per record (`timeit`, 2 vCPUs, CPython 3.11).
@@ -37,9 +43,10 @@ class FrozenInstanceError(AttributeError):
 
 class Record:
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         who = self.__class__.__qualname__
         if len(args) > len(names):
             raise TypeError(f"{who}() takes {len(names)} fields, got {len(args)}")
@@ -57,10 +64,10 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={echo(getattr(self, name), None)}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={echo(getattr(self, name), None)}" for name in self._fields])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self, other):
@@ -81,7 +88,7 @@ class Record:
         return self.__class__, self._astuple()
 
     def _replace(self, **changes):
-        fields = dict(zip(self.__slots__, self._astuple()))
+        fields = dict(zip(self._fields, self._astuple()))
         fields.update(changes)
         return self.__class__(**fields)
 

@@ -68,7 +68,7 @@ MAXYEAR = 9999  # datetime.MAXYEAR: the last year that str() writes in four digi
 
 
 class CivilDate(Record):
-    __slots__ = ("year", "month", "day")
+    __slots__ = _fields = ("year", "month", "day")
 
     def __init__(self, year: int, month: int, day: int):
         # Exact ints skip the three calls: one CivilDate is built per parsed date.
@@ -139,7 +139,7 @@ def parse_date(text: str) -> CivilDate:
 
 
 class AnchorConfig(Record):
-    __slots__ = ("reference_date", "reference_weekday")
+    __slots__ = _fields = ("reference_date", "reference_weekday")
 
 
 # 2000-01-01 was a Saturday; everything else is counted from there.

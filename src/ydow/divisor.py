@@ -35,9 +35,9 @@ negative value, and the floor coefficient -1, 0 or 1, which allows at most
 741 shapes), and it holds code, never a result, so every call still
 computes its numbers and builds a fresh trace.  `formula()` returns the
 plan's text of the whole formula, so it and the trace write every term
-alike.  The plan sits in a slot the record's fields leave out, as does the
-spec's kernel once taken, so `repr`, `==`, `hash`, pickle, copy and
-`_replace` see only the seven fields, and every copy compiles its own plan.
+alike.  The plan and the kernel are private slots of the spec, outside its
+seven fields (see `_record`), so `repr`, `==`, `hash`, pickle, copy and
+`_replace` see only the fields, and every copy compiles its own plan.
 
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
 own traces.  Running them through `eval_divisor` would keep their values,
@@ -70,16 +70,7 @@ MAX_COEF = 99
 MAX_DIVISOR = 100
 
 
-class _Planned(Record):
-    # Holds a spec's compiled plan and, from its first evaluation, its
-    # shape's kernel.  Record reads a record's fields from the __slots__ of
-    # its own class, so a slot declared here stays out of repr, ==, hash,
-    # pickle, copy and _replace; those rebuild through __init__, which
-    # compiles the plan again.
-    __slots__ = ("_plan", "_kernel")
-
-
-class DivisorSpec(_Planned):
+class DivisorSpec(Record):
     """Coefficient record for one divisor formula, immutable (see `_record`).
 
     Value at y = d*q + r is coef_q*q + coef_r*r +
@@ -91,14 +82,16 @@ class DivisorSpec(_Planned):
     or 1, and the other four lie in [-MAX_COEF, MAX_COEF].
     """
 
-    __slots__ = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
+    _fields = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
+    # The compiled plan and, from the first evaluation on, the shape's kernel.
+    __slots__ = (*_fields, "_plan", "_kernel")
 
     def __init__(
         self, d: int, convention: SignConvention | str, coef_q: int, coef_r: int, coef_floor: int, inner_q: int,
         inner_r: int,
     ):
         check_int("divisor", d)
-        coefs = tuple(zip(self.__slots__[2:], (coef_q, coef_r, coef_floor, inner_q, inner_r)))
+        coefs = tuple(zip(self._fields[2:], (coef_q, coef_r, coef_floor, inner_q, inner_r)))
         for name, value in coefs:
             check_int(name, value)
         if not 2 <= d <= MAX_DIVISOR:

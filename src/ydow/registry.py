@@ -45,7 +45,7 @@ class MethodCategory(str, Enum):
 
 
 class MethodDescriptor(Record):
-    __slots__ = ("id", "display_name", "category", "convention", "citation", "func")
+    __slots__ = _fields = ("id", "display_name", "category", "convention", "citation", "func")
 
 
 def _build_registry() -> dict[str, MethodDescriptor]:
@@ -149,14 +149,14 @@ def evaluate(method_id: str, y: int) -> ShareResult:
 
 
 class VerificationFailure(Record):
-    __slots__ = ("y", "expected", "got")
+    __slots__ = _fields = ("y", "expected", "got")
 
     def to_json_dict(self) -> dict:
         return {"y": self.y, "expected": self.expected, "got": self.got}
 
 
 class VerificationReport(Record):
-    __slots__ = ("method_id", "total", "failures")
+    __slots__ = _fields = ("method_id", "total", "failures")
 
     @property
     def passed(self) -> bool:
@@ -196,7 +196,7 @@ def verify_all() -> list[VerificationReport]:
 
 
 class CostReportRow(Record):
-    __slots__ = ("method_id", "min_cost", "max_cost", "mean_cost", "max_magnitude")
+    __slots__ = _fields = ("method_id", "min_cost", "max_cost", "mean_cost", "max_magnitude")
 
     def to_json_dict(self) -> dict:
         return {

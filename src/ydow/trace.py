@@ -41,7 +41,9 @@ the residue rule.  `StepTrace(steps)` stays the public constructor.
 
 `StepTrace` is an immutable record (see `_record`) wrapping a tuple of
 steps: its length and iteration are the steps', which a tuple base would
-conflict with, and it compares equal only to another `StepTrace`.
+conflict with, and it compares equal only to another `StepTrace`.  Its one
+field, `steps`, is a property over its two private slots, the recorded
+steps and, once read, the formatted ones.
 `CostModel` is a record too.  `json` is imported by `load_cost_model`, the
 one place that reads it.
 """
@@ -51,6 +53,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import partial
 from operator import add, mul, neg, pos, sub
+from os import PathLike
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -106,15 +109,7 @@ _RULES = {
 }
 
 
-class _Recorded(Record):
-    # Holds a trace's steps as recorded, descriptions still templates.
-    # Record reads a record's fields from the __slots__ of its own class, so
-    # a slot declared here stays out of repr, ==, hash, pickle, copy and
-    # _replace, which read the formatted `steps`.
-    __slots__ = ("_recorded",)
-
-
-class StepTrace(_Recorded):
+class StepTrace(Record):
     """The steps of one evaluation, each a `Step` or a recorded 4-tuple.
 
     A step is `(kind, description, operands, result)`; its description is
@@ -129,7 +124,11 @@ class StepTrace(_Recorded):
     raises when a walker or the first read of `.steps` meets it.
     """
 
-    __slots__ = ("steps",)
+    _fields = ("steps",)
+    # `_recorded` holds the steps as given, descriptions still templates; the
+    # first read of `steps` formats them into `_formatted`, and into
+    # `_recorded` too, so the walkers then read the formatted steps.
+    __slots__ = ("_recorded", "_formatted")
 
     def __init__(self, steps: Iterable[tuple] = ()):
         if steps.__class__ is not tuple:
@@ -138,6 +137,26 @@ class StepTrace(_Recorded):
             except TypeError:
                 raise ValueError(f"steps must be an iterable of steps, got {echo(steps)}") from None
         _set_recorded(self, steps)
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """The steps, their descriptions formatted on the first read."""
+        try:
+            return self._formatted
+        except AttributeError:  # the first read
+            pass
+        steps = []
+        for step in self._recorded:  # a recorded tuple or a Step; only a Step with its text is kept as it is
+            if step.__class__ is not Step or step[1].__class__ is tuple:
+                kind, text, operands, result = step
+                if text.__class__ is tuple:  # a lone template reads the operands, then the result
+                    text = text[0].format(*operands, result) if len(text) == 1 else _format(*text)
+                step = new_step((kind, text, operands, result))
+            steps.append(step)
+        steps = tuple(steps)
+        _set_formatted(self, steps)
+        _set_recorded(self, steps)  # so a trace never holds both
+        return steps
 
     def __len__(self) -> int:
         return len(self._recorded)
@@ -193,7 +212,7 @@ class StepTrace(_Recorded):
 
     def to_jsonable(self) -> list[dict]:
         # From the recorded steps: a trace is written once, so its formatted steps are not kept.
-        # The description is formatted as `_steps` formats it, inline: a call per step would cost a frame.
+        # The description is formatted as `steps` formats it, inline: a call per step would cost a frame.
         return [
             {
                 "kind": kind._value_,  # a plain attribute; Enum's .value is a Python-level property
@@ -206,12 +225,9 @@ class StepTrace(_Recorded):
         ]
 
 
-# `steps` is a slot; the property below takes its name and reads and writes
-# the slot through its C-level descriptor, so a formatted trace is read
-# without a Python-level __getattr__ hook on the class.
-_get_steps = StepTrace.steps.__get__
-_set_steps = StepTrace.steps.__set__
-_set_recorded = _Recorded._recorded.__set__
+# The private slots' C-level setters; a record's own __setattr__ raises.
+_set_recorded = StepTrace._recorded.__set__
+_set_formatted = StepTrace._formatted.__set__
 _format = str.format
 _blank_trace = partial(object.__new__, StepTrace)
 
@@ -227,28 +243,6 @@ def traced(raw: int, convention: SignConvention, steps: tuple) -> ShareResult:
     trace = _blank_trace()
     _set_recorded(trace, steps)
     return normalize(raw, convention, trace)
-
-
-def _steps(trace: StepTrace) -> tuple[Step, ...]:
-    try:
-        return _get_steps(trace)
-    except AttributeError:  # the first read
-        pass
-    steps = []
-    for step in trace._recorded:  # a recorded tuple or a Step; only a Step with its text is kept as it is
-        if step.__class__ is not Step or step[1].__class__ is tuple:
-            kind, text, operands, result = step
-            if text.__class__ is tuple:  # a lone template reads the operands, then the result
-                text = text[0].format(*operands, result) if len(text) == 1 else _format(*text)
-            step = new_step((kind, text, operands, result))
-        steps.append(step)
-    steps = tuple(steps)
-    _set_steps(trace, steps)
-    _set_recorded(trace, steps)  # so a trace never holds both
-    return steps
-
-
-StepTrace.steps = property(_steps, doc="The steps, their descriptions formatted on the first read.")
 
 
 # Defaults reflect rough mental effort: free to load a number, cheap to test
@@ -268,15 +262,7 @@ DEFAULT_WEIGHTS: Mapping[StepKind, int] = MappingProxyType({
 })
 
 
-class _Priced(Record):
-    # Holds the `get` of the plain dict that a model's read-only `weights`
-    # wraps: `cost` calls it once per step, and a dict's `get` is about
-    # twice as fast as a mappingproxy's.  A slot declared here stays out of
-    # the record's fields (see `_Recorded`).
-    __slots__ = ("_get",)
-
-
-class CostModel(_Priced):
+class CostModel(Record):
     """Weights one unit of mental effort per step kind.
 
     The name must be a str, the weights a mapping, every key must name a
@@ -287,7 +273,11 @@ class CostModel(_Priced):
     Equal models hash equal; the hash reads the name only.
     """
 
-    __slots__ = ("name", "weights")
+    _fields = ("name", "weights")
+    # `_get` is the `get` of the plain dict that the read-only `weights`
+    # wraps: `cost` calls it once per step, and a dict's `get` is about
+    # twice as fast as a mappingproxy's.
+    __slots__ = (*_fields, "_get")
 
     def __init__(self, name: str = "default", weights: Mapping[StepKind, int] = DEFAULT_WEIGHTS):
         if not isinstance(name, str):
@@ -302,7 +292,7 @@ class CostModel(_Priced):
                 raise ValueError(f"negative weight for {kind.value}: {echo(w)}")
             checked[kind] = w
         super().__init__(name, MappingProxyType(checked))
-        _set_get(self, checked.get)
+        object.__setattr__(self, "_get", checked.get)
 
     def __hash__(self) -> int:
         return hash((self.name,))
@@ -319,23 +309,24 @@ class CostModel(_Priced):
         return total
 
 
-_set_get = _Priced._get.__set__
-
-
 DEFAULT_COST_MODEL = CostModel()
 
 
-def load_cost_model(path: str) -> CostModel:
+def load_cost_model(path: str | PathLike) -> CostModel:
     """Read a cost model from a JSON file: {"name": ..., "weights": {kind: int}}.
 
-    Every way the file can be wrong (unreadable, not JSON, nested too deeply
-    to decode, not an object, unknown kind, a weight that is not a
-    nonnegative int) raises ValueError.
+    The path must be a str or an os.PathLike; anything else, an int above
+    all, which `open` would take for a file descriptor, raises ValueError
+    before anything is opened.  Every way the file can be wrong (unreadable,
+    not JSON, nested too deeply to decode, not an object, unknown kind, a
+    weight that is not a nonnegative int) raises ValueError.
     Kinds and weights are checked by CostModel; its message gains the path.
     """
     import json  # here, not at the top: nothing else in `import ydow` reads JSON
 
     shown = echo(path)
+    if not isinstance(path, (str, PathLike)):
+        raise ValueError(f"cost model path must be a str or os.PathLike, got {shown}")
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)

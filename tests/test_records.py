@@ -1,6 +1,6 @@
 """The nine record types behave as the frozen dataclasses they replace did.
 
-Each case pins the constructor (fields in `__slots__` order, by position or
+Each case pins the constructor (fields in `_fields` order, by position or
 by name), the dataclass repr, equality only within the class, the hash of
 the field tuple, immutability, copy and pickle, and `_replace`.  The last
 test keeps the modules the records let `import ydow` skip out of it.
@@ -80,13 +80,13 @@ IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
 
 
 def fields_of(rec):
-    return tuple(getattr(rec, name) for name in rec.__slots__)
+    return tuple(getattr(rec, name) for name in rec._fields)
 
 
 @pytest.mark.parametrize("make, text, change", CASES, ids=IDS)
 def test_fields_by_position_or_by_name(make, text, change):
     rec = make()
-    cls, names, values = type(rec), rec.__slots__, fields_of(rec)
+    cls, names, values = type(rec), rec._fields, fields_of(rec)
     for k in range(len(names) + 1):  # the first k fields by position, the rest by name
         assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) == rec
 
@@ -94,7 +94,7 @@ def test_fields_by_position_or_by_name(make, text, change):
 @pytest.mark.parametrize("make, text, change", CASES, ids=IDS)
 def test_missing_extra_unknown_or_repeated_fields_raise(make, text, change):
     rec = make()
-    cls, names, values = type(rec), rec.__slots__, fields_of(rec)
+    cls, names, values = type(rec), rec._fields, fields_of(rec)
     with pytest.raises(TypeError):
         cls(*values, values[0])
     with pytest.raises(TypeError, match="no_such_field"):
@@ -121,8 +121,8 @@ def test_equal_only_within_the_class(make, text, change):
     assert rec == make() and not rec != make()
     assert rec != fields_of(rec) and not rec == fields_of(rec)
     # another class with the same fields and values
-    twin = object.__new__(type("Twin", (Record,), {"__slots__": rec.__slots__}))
-    for name, value in zip(rec.__slots__, fields_of(rec)):
+    twin = object.__new__(type("Twin", (Record,), {"__slots__": rec._fields, "_fields": rec._fields}))
+    for name, value in zip(rec._fields, fields_of(rec)):
         object.__setattr__(twin, name, value)
     assert rec != twin and not rec == twin
     assert rec != rec._replace(**change)
@@ -142,7 +142,7 @@ def test_hash_is_the_field_tuple_hash(make, text, change):
 def test_assignment_and_deletion_raise(make, text, change):
     rec = make()
     before = fields_of(rec)
-    for name in (*rec.__slots__, "extra"):
+    for name in (*rec._fields, "extra"):
         with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(rec, name, 0)
         with pytest.raises(AttributeError):
@@ -165,7 +165,7 @@ def test_replace(make, text, change):
     rec = make()
     new = rec._replace(**change)
     assert type(new) is type(rec)
-    for name in rec.__slots__:
+    for name in rec._fields:
         want = change.get(name, getattr(rec, name))
         if isinstance(rec, CostModel) and name == "weights":
             assert dict(new.weights) == want
@@ -193,10 +193,10 @@ def test_the_shipped_records_pickle():
 
 
 def test_a_divisor_plan_stays_out_of_the_record():
-    # DivisorSpec compiles its step plan into a slot of a base class, which
-    # no record behaviour reads; every copy rebuilds it through __init__
+    # DivisorSpec compiles its step plan into a private slot, which no
+    # record behaviour reads; every copy rebuilds it through __init__
     spec = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
-    assert "_plan" not in spec.__slots__ and spec._plan
+    assert "_plan" not in spec._fields and spec._plan
     assert repr(spec) == CASES[4][1]
     assert spec.__reduce__() == (DivisorSpec, fields_of(spec))
     stale = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
@@ -207,6 +207,36 @@ def test_a_divisor_plan_stays_out_of_the_record():
     changed = spec._replace(coef_floor=0, coef_r=3)
     assert changed._plan == DivisorSpec(5, NEG, 1, 3, 0, 1, 1)._plan != spec._plan
     assert eval_divisor(changed, 37) == eval_divisor(DivisorSpec(5, NEG, 1, 3, 0, 1, 1), 37)
+
+
+# Each record's fields, in order, as the repr strings above name them.
+FIELDS = {
+    CivilDate: ("year", "month", "day"),
+    AnchorConfig: ("reference_date", "reference_weekday"),
+    StepTrace: ("steps",),
+    CostModel: ("name", "weights"),
+    DivisorSpec: ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r"),
+    MethodDescriptor: ("id", "display_name", "category", "convention", "citation", "func"),
+    VerificationFailure: ("y", "expected", "got"),
+    VerificationReport: ("method_id", "total", "failures"),
+    CostReportRow: ("method_id", "min_cost", "max_cost", "mean_cost", "max_magnitude"),
+}
+
+
+@pytest.mark.parametrize("cls, fields", FIELDS.items(), ids=[cls.__name__ for cls in FIELDS])
+def test_each_record_declares_its_fields_once(cls, fields):
+    assert cls._fields == fields and fields
+    assert cls.__bases__ == (Record,)
+    # the slotted fields lead __slots__, and every other slot is private
+    slotted = tuple(name for name in fields if name in cls.__slots__)
+    assert cls.__slots__[: len(slotted)] == slotted
+    assert all(name.startswith("_") for name in cls.__slots__[len(slotted) :])
+    # a field without a slot is a property over the private slots: StepTrace.steps
+    assert all(isinstance(cls.__dict__[name], property) for name in fields if name not in slotted)
+
+
+def test_every_record_is_pinned():
+    assert {cls for cls in Record.__subclasses__() if cls.__module__.startswith("ydow.")} == set(FIELDS)
 
 
 def test_repr_survives_a_field_whose_repr_raises():

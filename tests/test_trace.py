@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import pickle
 import re
 from pathlib import Path
@@ -125,6 +126,26 @@ def test_load_cost_model(tmp_path):
     assert model.weights[StepKind.HALVE] == 0
     # unmentioned kinds keep their defaults
     assert model.weights[StepKind.QUARTER_FLOOR] == DEFAULT_WEIGHTS[StepKind.QUARTER_FLOOR]
+
+
+@pytest.mark.parametrize("path", [0, 1, True, None, 3.5], ids=repr)
+def test_load_cost_model_takes_only_a_path(path):
+    # an int would be read as a file descriptor, and closed: 1 (or True) is stdout
+    with pytest.raises(ValueError, match=re.escape(f"cost model path must be a str or os.PathLike, got {path!r}")):
+        load_cost_model(path)
+
+
+def test_load_cost_model_leaves_a_descriptor_open(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "m"}))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(ValueError, match="must be a str or os.PathLike, got"):
+            load_cost_model(fd)
+        os.fstat(fd)  # still open
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # and unread
+    finally:
+        os.close(fd)
 
 
 def test_load_cost_model_rejects_unknown_kind(tmp_path):

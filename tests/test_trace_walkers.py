@@ -341,7 +341,7 @@ def test_the_cost_models_private_lookup_stays_out_of_the_record():
     # the lookup `cost` reads sits in a slot outside the record's fields
     model = CostModel("m", {StepKind.HALVE: 2, StepKind.SET: 1})
     trace = StepTrace(((StepKind.SET, "x", (4,), 4), (StepKind.HALVE, "x", (4,), 2)))
-    assert CostModel.__slots__ == ("name", "weights")
+    assert CostModel._fields == ("name", "weights")
     assert repr(model) == (
         "CostModel(name='m', weights=mappingproxy({<StepKind.HALVE: 'halve'>: 2, <StepKind.SET: 'set'>: 1}))"
     )
