@@ -23,21 +23,20 @@ kernel per shape, generated and compiled the first time a spec of that
 shape is evaluated and kept in `_KERNELS`: it splits y, computes the numbers
 and records them with the plan's templates (formatted when a trace's text
 is first read), with no loop over ops; it calls the year check only on a
-bad year, and ends in `trace.traced`, as every method body does.  A spec
-built when its shape's kernel is already compiled takes that kernel at
-construction, so its first evaluation does not look for it.  The kernel's
-source depends on the shape alone and holds no value, only fixed names and
-the ints it computes with; every value reaches it as data, so specs that
-differ only in their divisor, multipliers, signs or texts share one kernel,
-and no text of a spec is ever compiled.  The cache needs no bound: shapes are few (each
-of the four other coefficients is zero, 1, -1, another positive or another
-negative value, and the floor coefficient -1, 0 or 1, which allows at most
-741 shapes), and it holds code, never a result, so every call still
-computes its numbers and builds a fresh trace.  `formula()` returns the
-plan's text of the whole formula, so it and the trace write every term
-alike.  The plan and the kernel are private slots of the spec, outside its
-seven fields (see `_record`), so `repr`, `==`, `hash`, pickle, copy and
-`_replace` see only the fields, and every copy compiles its own plan.
+bad year, and ends in `trace.traced`, as every method body does.  The
+kernel's source depends on the shape alone and holds no value, only fixed
+names and the ints it computes with; every value reaches it as data, so
+specs that differ only in their divisor, multipliers, signs or texts share
+one kernel, and no text of a spec is ever compiled.  The cache needs no
+bound: shapes are few (each of the four other coefficients is zero, 1, -1,
+another positive or another negative value, and the floor coefficient -1,
+0 or 1, which allows at most 741 shapes), and it holds code, never a
+result, so every call still computes its numbers and builds a fresh trace.
+`formula()` returns the plan's text of the whole formula, so it and the
+trace write every term alike.  The plan and the kernel are private slots of
+the spec, outside its seven fields (see `_record`), so `repr`, `==`,
+`hash`, pickle, copy and `_replace` see only the fields, and every copy
+compiles its own plan and takes its kernel on its first evaluation.
 
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
 own traces.  Running them through `eval_divisor` would keep their values,
@@ -103,11 +102,7 @@ class DivisorSpec(Record):
                 raise ValueError(f"{name} must be in [-{MAX_COEF}, {MAX_COEF}], got {echo(value)}")
         convention = member(SignConvention, convention)
         super().__init__(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r)
-        plan = _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r)
-        object.__setattr__(self, "_plan", plan)
-        kernel = _KERNELS.get(plan[0])
-        if kernel is not None:
-            object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_plan", _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
         q, r = divmod_split(y, self.d)
@@ -300,21 +295,15 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     """
     try:
         kernel = spec._kernel
-    except AttributeError:  # the spec's first evaluation
-        kernel = _kernel_of(spec)
+    except AttributeError:  # the spec's first evaluation: its shape's kernel, compiled if no spec has run it yet
+        shape = spec._plan[0]
+        kernel = _KERNELS.get(shape)
+        if kernel is None:
+            namespace = dict(_KERNEL_GLOBALS)
+            exec(compile(_kernel_source(shape), "<ydow.divisor kernel>", "exec"), namespace)
+            kernel = _KERNELS[shape] = namespace["kernel"]
+        object.__setattr__(spec, "_kernel", kernel)
     return kernel(y, spec._plan[1])
-
-
-def _kernel_of(spec: DivisorSpec) -> Callable[[int, tuple], ShareResult]:
-    """The kernel of the spec's shape, compiled if no spec of that shape has been evaluated; kept on the spec."""
-    shape = spec._plan[0]
-    kernel = _KERNELS.get(shape)
-    if kernel is None:
-        namespace = dict(_KERNEL_GLOBALS)
-        exec(compile(_kernel_source(shape), "<ydow.divisor kernel>", "exec"), namespace)
-        kernel = _KERNELS[shape] = namespace["kernel"]
-    object.__setattr__(spec, "_kernel", kernel)
-    return kernel
 
 
 def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorSpec:

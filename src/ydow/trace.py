@@ -31,8 +31,9 @@ recorded steps faster than they would walk `Step`s.  The first read of
 `StepTrace.steps` builds each `Step` once, through
 `new_step = partial(tuple.__new__, Step)` (the tuple made in C, skipping the
 NamedTuple's Python-level `__new__`), formats each description and keeps
-the `Step`s; `to_jsonable` formats each text as it writes it, building no
-`Step`.
+the `Step`s beside the recorded steps, which it never replaces, so the
+walkers read the recorded steps before and after it; `to_jsonable` formats
+each text as it writes it, building no `Step`.
 
 A body ends with `traced(raw, convention, steps)`, the one constructor of a
 traced result: it wraps the exact tuple of steps in a new `StepTrace`
@@ -125,9 +126,9 @@ class StepTrace(Record):
     """
 
     _fields = ("steps",)
-    # `_recorded` holds the steps as given, descriptions still templates; the
-    # first read of `steps` formats them into `_formatted`, and into
-    # `_recorded` too, so the walkers then read the formatted steps.
+    # `_recorded` holds the steps as given, descriptions still templates, and
+    # is never replaced: the walkers read it.  The first read of `steps`
+    # keeps the formatted `Step`s in `_formatted`, beside it.
     __slots__ = ("_recorded", "_formatted")
 
     def __init__(self, steps: Iterable[tuple] = ()):
@@ -145,17 +146,13 @@ class StepTrace(Record):
             return self._formatted
         except AttributeError:  # the first read
             pass
-        steps = []
-        for step in self._recorded:  # a recorded tuple or a Step; only a Step with its text is kept as it is
-            if step.__class__ is not Step or step[1].__class__ is tuple:
-                kind, text, operands, result = step
-                if text.__class__ is tuple:  # a lone template reads the operands, then the result
-                    text = text[0].format(*operands, result) if len(text) == 1 else _format(*text)
-                step = new_step((kind, text, operands, result))
-            steps.append(step)
-        steps = tuple(steps)
+        # A lone template reads the operands, then the result; `to_jsonable` formats alike.
+        steps = tuple([
+            new_step((kind, text if text.__class__ is not tuple
+                      else text[0].format(*operands, result) if len(text) == 1 else _format(*text), operands, result))
+            for kind, text, operands, result in self._recorded
+        ])
         _set_formatted(self, steps)
-        _set_recorded(self, steps)  # so a trace never holds both
         return steps
 
     def __len__(self) -> int:
@@ -319,8 +316,10 @@ def load_cost_model(path: str | PathLike) -> CostModel:
     all, which `open` would take for a file descriptor, raises ValueError
     before anything is opened.  Every way the file can be wrong (unreadable,
     not JSON, nested too deeply to decode, not an object, unknown kind, a
-    weight that is not a nonnegative int) raises ValueError.
-    Kinds and weights are checked by CostModel; its message gains the path.
+    weight that is not a nonnegative int, a name that is not a string)
+    raises ValueError.  A file without a name names the model after its
+    path.  The name, kinds and weights are checked by CostModel, as the file
+    gives them; its message gains the path.
     """
     import json  # here, not at the top: nothing else in `import ydow` reads JSON
 
@@ -342,6 +341,6 @@ def load_cost_model(path: str | PathLike) -> CostModel:
     if not isinstance(given, dict):
         raise ValueError(f"cost model {shown}: weights must be an object, got {type(given).__name__}")
     try:
-        return CostModel(name=str(data.get("name", path)), weights={**DEFAULT_WEIGHTS, **given})
+        return CostModel(name=data.get("name", str(path)), weights={**DEFAULT_WEIGHTS, **given})
     except ValueError as exc:
         raise ValueError(f"cost model {shown}: {exc}") from None

@@ -293,8 +293,11 @@ def test_cost_missing_model_exits_2(capsys, tmp_path):
         ('{"weights": {"guess": 1}}', "'guess' is not a valid StepKind"),
         ("[" * 100_000, "': JSON nested too deeply to read"),
         ('{"weights": {"halve": 1' + "0" * 400 + "}}", "mean cost of odd11 under model"),
+        *[(f'{{"name": {name}}}', f"cost model name must be a string, got {shown}")
+          for name, shown in [("null", None), ("5", 5), ("true", True), ('["x"]', ["x"]), ("{}", {})]],
     ],
-    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind", "deep", "huge"],
+    ids=["list", "not-json", "weights-list", "float", "bool", "string", "negative", "unknown-kind", "deep", "huge",
+         "null-name", "int-name", "bool-name", "list-name", "object-name"],
 )
 def test_cost_bad_model_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "model.json"

@@ -417,11 +417,14 @@ def test_a_new_spec_takes_its_shapes_kernel_when_it_is_compiled(monkeypatch):
     eval_divisor(first, 57)
     kernel = first._kernel
     assert list(divisor._KERNELS.values()) == [kernel]
-    # a spec of the same shape, built afterwards, has it from the start
+    # a spec of the same shape, built afterwards, and each copy of it take it on their first evaluation
     second = DivisorSpec(23, NEG, 5, -4, 1, 1, -1)
-    assert second._plan[0] == first._plan[0] and second._kernel is kernel
-    assert second._replace()._kernel is kernel and pickle.loads(pickle.dumps(second))._kernel is kernel
-    assert eval_divisor(second, 57) == reference_eval(second, 57)
+    assert second._plan[0] == first._plan[0]
+    for spec in (second, second._replace(), pickle.loads(pickle.dumps(second))):
+        assert not hasattr(spec, "_kernel")
+        assert eval_divisor(spec, 57) == reference_eval(spec, 57)
+        assert spec._kernel is kernel
+    assert len(divisor._KERNELS) == 1
     # a spec of another shape waits for its first evaluation
     other = DivisorSpec(23, NEG, 5, -4, 0, 0, 0)
     assert not hasattr(other, "_kernel")

@@ -190,6 +190,22 @@ def test_load_cost_model_names_the_file_in_model_errors(tmp_path, weights, messa
     assert str(exc.value) == f"cost model {str(path)!r}: {message}"
 
 
+@pytest.mark.parametrize("name", [None, 5, True, ["x"], {}], ids=repr)
+def test_load_cost_model_refuses_a_name_that_is_not_text(tmp_path, name):
+    # the file's name goes to CostModel as it is, whose check names it; it is not turned into text
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": name}))
+    with pytest.raises(ValueError) as exc:
+        load_cost_model(str(path))
+    assert str(exc.value) == f"cost model {str(path)!r}: cost model name must be a string, got {name!r}"
+
+
+def test_a_loaded_model_without_a_name_is_named_after_its_path(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": {"halve": 0}}))
+    assert load_cost_model(path).name == str(path) == load_cost_model(str(path)).name
+
+
 def every_body():
     """One call per method x year and per derivable or built-in spec x year, each making a fresh result."""
     specs = list(BUILTIN_DIVISOR_SPECS.values())
@@ -214,9 +230,13 @@ def unformatted(trace) -> bool:
 
 
 def test_a_recorded_trace_reads_as_its_formatted_steps():
+    def equal_both_ways(t, ref):  # and the first read keeps what was recorded, and what it formats
+        recorded = t._recorded
+        return t == ref and ref == t and t._recorded is recorded and t.steps is t.steps
+
     # each check gets a fresh trace, so it is the first read and does the formatting
     checks = [
-        lambda t, ref: t == ref and ref == t and t._recorded is t.steps,
+        equal_both_ways,
         lambda t, ref: hash(t) == hash(ref),
         lambda t, ref: repr(t) == repr(ref),
         lambda t, ref: t.to_jsonable() == ref.to_jsonable(),
@@ -274,6 +294,17 @@ def test_walkers_and_reports_leave_a_trace_unformatted():
     verify_all(), cost_report()
     traces = [share.trace for memo in registry._MEMOS.values() for share in memo[0]]
     assert len(traces) == 1400 and all(map(unformatted, traces))
+
+
+def test_reading_a_trace_never_replaces_its_recorded_steps():
+    # the first read of .steps keeps its Steps beside the recorded tuples, which the walkers go on reading
+    reads = [lambda t: t.steps, StepTrace.to_jsonable, lambda t: t == t._replace(), hash, repr]
+    for body, y in every_body():
+        trace = body(y).trace
+        recorded = trace._recorded
+        for read in reads:
+            read(trace)
+            assert trace._recorded is recorded and unformatted(trace), (body, y, read)
 
 
 def test_no_step_text_is_formatted_eagerly():
