@@ -28,10 +28,10 @@ them:
 - `_replace(**changes)`, a copy with some fields changed.
 
 A record that checks its input runs its checks and then `Record.__init__`.
-`CivilDate` and `StepTrace` store their state themselves, through
-`object.__setattr__` or the slot's descriptor: they are built once per
-parsed date and once per method evaluation, and the generic constructor
-costs 1-2 µs more per record (`timeit`, 2 vCPUs, CPython 3.11).
+`CivilDate` and `StepTrace` store their state themselves, through each
+slot's C-level `__set__` (`CivilDate.year.__set__` and the like): they are
+built once per parsed date and once per method evaluation, and the generic
+constructor costs 1-2 µs more per record (`timeit`, 2 vCPUs, CPython 3.11).
 """
 
 from __future__ import annotations

@@ -81,13 +81,14 @@ class CivilDate(Record):
             raise DateValidationError(f"year must be {bound}, got {echo(year)}")
         if not 1 <= month <= 12:
             raise DateValidationError(f"month must be in [1, 12], got {echo(month)}")
-        limit = month_length(year, month)
-        if not 1 <= day <= limit:
-            raise DateValidationError(f"day must be in [1, {limit}] for {year:04d}-{month:02d}, got {echo(day)}")
-        # Direct stores, not Record.__init__: one CivilDate per parsed date, and these are 1-2 µs cheaper.
-        object.__setattr__(self, "year", year)
-        object.__setattr__(self, "month", month)
-        object.__setattr__(self, "day", day)
+        if not 1 <= day <= 28:  # every month has days 1-28, so only a later day needs its month's length
+            limit = month_length(year, month)
+            if not 1 <= day <= limit:
+                raise DateValidationError(f"day must be in [1, {limit}] for {year:04d}-{month:02d}, got {echo(day)}")
+        # Not Record.__init__: one CivilDate is built per parsed date.
+        _set_year(self, year)
+        _set_month(self, month)
+        _set_day(self, day)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
@@ -106,6 +107,12 @@ class CivilDate(Record):
         if self.month > 2 and is_leap(self.year):
             days += 1
         return days + self.day
+
+
+# The slots' C-level setters; a record's own __setattr__ raises.
+_set_year = CivilDate.year.__set__
+_set_month = CivilDate.month.__set__
+_set_day = CivilDate.day.__set__
 
 
 # [0-9], not \d: \d also takes other scripts' decimal digits (full-width,
@@ -135,7 +142,8 @@ def parse_date(text: str) -> CivilDate:
             if want == "-" and ch != "-":
                 raise DateParseError(f"expected '-', got {ch!r}", i)
         raise DateParseError(f"expected YYYY-MM-DD, trailing input: {echo(text)}", len(template))
-    return CivilDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    year, month, day = m.groups()
+    return CivilDate(int(year), int(month), int(day))
 
 
 class AnchorConfig(Record):

@@ -12,33 +12,36 @@ suite checks every date of one full 400-year Gregorian cycle; the assembly
 depends on the year only through its value mod 400, so that is a proof for
 every Gregorian date.
 
-`dow(..., with_trace=False)` is the value path.  It reads the year's
-doomsday, `(century anchor + residue) % 7`, from the doomsday list of the
-method function's memo (`registry`'s one memo per function) indexed by
-`year % 400`, and the month's anchor date from one shared 400-entry table,
-then applies one weekday formula,
-`(doomsday + day - anchor date) % 7`, for both pipelines.  The
-First-Sunday assembly `day - ((anchor date - doomsday) % 7 or 7)` is
-congruent to it mod 7, because `s or 7` is congruent to `s`, so the
-pipeline matters only to the trace.  A doomsday entry is filled on first
-use from the memo's result for the year, so the method still enters the
-value path only through `residue`, and a hit is one dict lookup and two
-list indexings.  The traced call finds its inputs the same
-way, by `year % 400`: the century anchor, the month's anchor date and the
-method's result at `year % 400 % 100`, which is `year % 100`.  It runs no
-separate weekday formula: it emits the assembly's steps and takes the
+`dow(..., with_trace=False)` is the value path.  It looks the method up in
+`METHODS` itself, calling `get_method` only to raise for an unknown id, and
+reads the year's weekday row from the second entry of the method
+function's memo (`registry`'s one memo per function), indexed by
+`year % 400`.  A row is one of fourteen shared tables, chosen by the year's
+leap flag and doomsday, `(century anchor + residue) % 7`, that hold every
+weekday of the year by month and day mod 7: row[month][day % 7] is
+`(doomsday + day - anchor date) % 7`, the one weekday formula, for both
+pipelines.  The First-Sunday assembly
+`day - ((anchor date - doomsday) % 7 or 7)` is congruent to it mod 7,
+because `s or 7` is congruent to `s`, so the pipeline matters only to the
+trace.  A row is filled on first use from the memo's result for the year,
+so the method still enters the value path only through `residue`, and a
+warm call runs no Python frame but `dow`'s own.  The traced call finds its
+inputs by `year % 400` too: the century anchor, the month's anchor date and
+the method's result at `year % 400 % 100`, which is `year % 100`.  It runs
+no separate weekday formula: it emits the assembly's steps and takes the
 weekday from the last step's result.  `DowResult` is an immutable NamedTuple.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from ._record import member
 from .arith import NEGATIVE, POSITIVE
 from .dates import _WEEKDAYS, CivilDate, Weekday, is_leap
-from .registry import _MEMOS, _cached_eval, _memo, get_method
+from .registry import _MEMOS, METHODS, _cached_eval, _memo, get_method
 from .trace import ADD_CONST, MOD7_REDUCE, SET, SIGN_FLIP, SUB_CONST, StepTrace
 
 
@@ -70,9 +73,13 @@ def century_anchor(century: int) -> int:
 
 
 # Tables built once from the above.  The century anchor repeats every four
-# centuries; _MONTH_ANCHOR_ROWS picks the month table's row by year % 400.
+# centuries.  A weekday row, _WEEKDAY_ROWS[7 * leap + doomsday], holds each
+# month's weekdays by day % 7, (doomsday + day - anchor date) % 7, and
+# k % 7 is the doomsday; its entries are the seven rotations of _WEEKDAYS,
+# shared, so the fourteen rows cost 14 small tuples.
 _CENTURY_ANCHORS = tuple(century_anchor(c) for c in range(4))
-_MONTH_ANCHOR_ROWS = tuple(_MONTH_ANCHORS[is_leap(y4)] for y4 in range(400))
+_ROTATIONS = tuple(_WEEKDAYS[s:] + _WEEKDAYS[:s] for s in range(7))
+_WEEKDAY_ROWS = tuple(tuple(_ROTATIONS[(k - dd) % 7] for dd in _MONTH_ANCHORS[k // 7]) for k in range(14))
 _WEEKDAY_NAMES = tuple(day.display_name for day in _WEEKDAYS)
 
 # The memo map's lookup, bound once.  CPython 3.11 compiles a method call on
@@ -87,6 +94,12 @@ class DowResult(NamedTuple):
     method_id: str
     pipeline: PipelineId
     trace: StepTrace | None = None
+
+
+# DowResult's constructor in C, as `trace.new_step` is Step's: tuple.__new__
+# is what DowResult._make does underneath, skipping the NamedTuple's
+# Python-level __new__, about half the cost of the result.
+_new_result = partial(tuple.__new__, DowResult)
 
 
 def dow(
@@ -104,7 +117,10 @@ def dow(
     With a trace, the weekday is the result of the trace's last step, so
     the answer and its explanation cannot disagree.
     """
-    desc = get_method(method_id)  # fail fast on unknown ids
+    try:  # fail fast on unknown ids; get_method raises their error
+        func = METHODS[method_id].func
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        func = get_method(method_id).func
     if pipeline.__class__ is not PipelineId:
         pipeline = member(PipelineId, pipeline)
     year = date.year
@@ -113,22 +129,19 @@ def dow(
             f"{date} precedes the Gregorian calendar ({GREGORIAN_START_YEAR}); "
             "pass proleptic=True to compute anyway"
         )
-    func = desc.func
     y4 = year % 400
     if with_trace:
         share = _cached_eval(func, y4 % 100)
-        dd = _MONTH_ANCHOR_ROWS[y4][date.month]
+        dd = _MONTH_ANCHORS[is_leap(y4)][date.month]
         trace, w = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
-        return DowResult(date, _WEEKDAYS[w], method_id, pipeline, trace)
+        return _new_result((date, _WEEKDAYS[w], method_id, pipeline, trace))
 
-    doomsdays = (_memo_get(func) or _memo(func))[1]
-    doomsday = doomsdays[y4]
-    if doomsday is None:
-        doomsday = doomsdays[y4] = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
-    weekday = _WEEKDAYS[(doomsday + date.day - _MONTH_ANCHOR_ROWS[y4][date.month]) % 7]
-    # tuple.__new__ is what DowResult._make does underneath: it skips the
-    # NamedTuple's Python-level __new__, about half the cost of the result.
-    return tuple.__new__(DowResult, (date, weekday, method_id, pipeline, None))
+    rows = (_memo_get(func) or _memo(func))[1]
+    row = rows[y4]
+    if row is None:
+        doomsday = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
+        row = rows[y4] = _WEEKDAY_ROWS[7 * is_leap(y4) + doomsday]
+    return _new_result((date, row[date.month][date.day % 7], method_id, pipeline, None))
 
 
 def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -> tuple[StepTrace, int]:

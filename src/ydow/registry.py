@@ -9,8 +9,9 @@ described by one descriptor plus one function returning a ShareResult.
 
 What ydow computes of a method function is kept in one memo per function,
 in one bounded map keyed on the function object: the hundred results, the
-year doomsdays `pipeline.dow` reads on its value path, the
-`VerificationReport` and the `CostReportRow` of the last model priced.
+weekday row of each year mod 400 that `pipeline.dow` reads on its value
+path, the `VerificationReport` and the `CostReportRow` of the last model
+priced.
 Each part is filled on first use.  A repeated report is one lookup per
 method that builds no record, a swapped registry entry never shares an
 answer of the function it replaced, and `_cached_eval.cache_clear()`
@@ -108,14 +109,15 @@ def get_method(method_id: str) -> MethodDescriptor:
         raise UnknownMethodError(f"unknown method {echo(method_id, 60)} (known: {known})") from None
 
 
-# The one memo map: method function -> [results by y, year doomsdays by
-# year % 400, VerificationReport, ((method_id, model), CostReportRow) of the
-# last model priced], each None until first used.  Keyed on the function
-# object itself, so a registry entry swapped out (e.g. by a test installing
-# a corrupted variant) never gets a stale answer of the function it
-# replaced.  Callers look a memo up with `_MEMOS.get(func) or _memo(func)`,
-# so a hit makes no Python-level call.  Past _MAX_MEMOS functions the
-# oldest memo is dropped, so functions swapped in and out cannot grow it.
+# The one memo map: method function -> [results by y, weekday rows (each
+# one of `pipeline`'s fourteen shared rows) by year % 400,
+# VerificationReport, ((method_id, model), CostReportRow) of the last model
+# priced], each None until first used.  Keyed on the function object
+# itself, so a registry entry swapped out (e.g. by a test installing a
+# corrupted variant) never gets a stale answer of the function it replaced.
+# Callers look a memo up with `_MEMOS.get(func) or _memo(func)`, so a hit
+# makes no Python-level call.  Past _MAX_MEMOS functions the oldest memo is
+# dropped, so functions swapped in and out cannot grow it.
 _MAX_MEMOS = 64
 _MEMOS: dict = {}
 

@@ -1,5 +1,8 @@
 """Shared test plumbing: collects the acceptance-gate verdict lines and
-prints them in the terminal summary, where output capture can't hide them."""
+prints them in the terminal summary, where output capture can't hide them,
+and counts the Python frames a call runs."""
+
+import sys
 
 ACCEPTANCE_LINES = []
 
@@ -13,3 +16,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def python_frames(func, *args, **kwargs) -> list[str]:
+    """The names of the Python functions `func(*args, **kwargs)` runs, func first; C calls are not counted."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        func(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return names

@@ -74,8 +74,8 @@ ENTRY_POINTS = {
     # construction only: a trace's elements are not checked (see the StepTrace docstring)
     "StepTrace": (lambda steps: len(StepTrace(steps)), [ANY]),
     "dow": (
-        lambda method_id, pipeline: dow(CivilDate(2000, 2, 29), method_id, pipeline),
-        [METHOD_ID, mixed(*PipelineId, *[p.value for p in PipelineId])],
+        lambda method_id, pipeline, with_trace: dow(CivilDate(2000, 2, 29), method_id, pipeline, with_trace=with_trace),
+        [METHOD_ID, mixed(*PipelineId, *[p.value for p in PipelineId]), st.booleans()],
     ),
 }
 

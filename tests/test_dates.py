@@ -1,7 +1,9 @@
+import calendar
 import datetime
 import doctest
 
 import pytest
+from conftest import python_frames
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -135,6 +137,36 @@ def test_civil_date_validation():
     with pytest.raises(DateValidationError):
         CivilDate(0, 1, 1)
     CivilDate(2024, 2, 29)  # fine
+
+
+@pytest.mark.parametrize("year", [2023, 2024, 1900, 2000], ids=["common", "leap", "century", "quad-century"])
+def test_civil_date_accepts_exactly_what_datetime_accepts(year):
+    # every month 0-13 and day -1..32 of one year of each leap class: the
+    # check of days 1-28 skips the month's length, so this covers every
+    # order in which the checks can meet a bad field
+    for month in range(14):
+        for day in range(-1, 33):
+            try:
+                datetime.date(year, month, day)
+            except ValueError:
+                if not 1 <= month <= 12:
+                    want = f"month must be in [1, 12], got {month}"
+                else:
+                    limit = calendar.monthrange(year, month)[1]
+                    want = f"day must be in [1, {limit}] for {year:04d}-{month:02d}, got {day}"
+                with pytest.raises(DateValidationError) as exc:
+                    CivilDate(year, month, day)
+                assert str(exc.value) == want
+            else:
+                cd = CivilDate(year, month, day)
+                assert (cd.year, cd.month, cd.day) == (year, month, day)
+
+
+def test_parsing_a_day_up_to_28_runs_two_python_frames():
+    # a day in 1-28 is valid in every month, so its month's length is never read
+    assert python_frames(parse_date, "2024-02-28") == ["parse_date", "__init__"]
+    assert python_frames(parse_date, "2023-12-01") == ["parse_date", "__init__"]
+    assert python_frames(parse_date, "2024-02-29") == ["parse_date", "__init__", "month_length", "is_leap"]
 
 
 def test_years_stop_at_9999():

@@ -2,6 +2,7 @@ import datetime
 from functools import partial
 
 import pytest
+from conftest import python_frames
 
 from ydow import pipeline, registry
 from ydow._record import ECHO_LIMIT
@@ -161,6 +162,16 @@ def test_dow_without_trace():
         assert res.trace is None
         assert res.weekday is daycount_weekday(CivilDate(2023, 6, 15))
         assert res == DowResult(CivilDate(2023, 6, 15), res.weekday, "odd11", pl)
+
+
+def test_a_warm_value_path_call_runs_one_python_frame():
+    # the method lookup, the weekday row and the result are all C-level on a
+    # hit: no get_method, no memo helper, no NamedTuple __new__
+    cd = CivilDate(2024, 12, 27)
+    for mid in method_ids():
+        for pl in PipelineId:
+            dow(cd, mid, pl, with_trace=False)  # fills the memo's row for 2024
+            assert python_frames(dow, cd, mid, pl, with_trace=False) == ["dow"], (mid, pl)
 
 
 def test_pipeline_accepts_string_ids():

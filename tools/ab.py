@@ -1,21 +1,31 @@
-"""Time two ydow source trees against each other in one process.
+"""Time two ydow source trees against each other: set-up in fresh interpreters, the rest in one process.
 
 Usage: python3 tools/ab.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding a `ydow` package, such as a checkout's
 `src`.  Both packages are copied into one temporary directory, as
 `ydow_parent` and `ydow_change`; ydow's modules import each other
-relatively, so each copy runs under its own name, and both are imported
-side by side.  Each probe below is then timed in 7 rounds; the side that
-runs first alternates between rounds, and a side's time in a round is the
-best of 5 runs.  For each probe the script prints each side's median over
-the rounds, in microseconds, and the median and range of the per-round
-ratios change/parent (below 1, the change is faster).
+relatively, so each copy runs under its own name.
+
+Each row is timed in rounds, the side that runs first alternating between
+rounds.  For each row the script prints each side's median over the
+rounds, in microseconds, and the median and range of the per-round ratios
+change/parent (below 1, the change is faster).
+
+The first row, `cold import`, times `import ydow` in 15 rounds, each one
+fresh interpreter per side, started one at a time.  Each inherits the
+caller's environment, so with PYTHONDONTWRITEBYTECODE=1 every one compiles
+ydow from source, as a benchmark worker started in that environment does.
+
+Then both packages are imported side by side, and each probe below is
+timed in 7 rounds; a side's time in a round is the best of 5 runs.
 
 The probes, each a fixed amount of work:
 
-- `sweep`: 8 sweep requests, each parsing a date, counting its weekday and
-  answering `dow` without a trace for every method and pipeline;
+- `sweep`: 256 sweep requests, each parsing a date, counting its weekday
+  and answering `dow` without a trace for every method and pipeline.  The
+  dates are drawn as `bench/workloads.py` draws them, from a seeded
+  generator: a year in 1583-2599, a month, then a day of that month;
 - `method blocks`: every method over y = 0..99, each result priced,
   replayed and measured, as a `reports` method block does;
 - `derived blocks`: 12 derived formulas, each derived once and evaluated
@@ -27,27 +37,44 @@ The probes, each a fixed amount of work:
 - `walkers after .steps`: replay, cost and max_magnitude over those traces
   once their `.steps` has been read.
 
-Stdlib only.  It starts no thread or process, and writes nothing but its
-temporary directory, which it removes.  The garbage collector is off while
-a run is timed.
+Stdlib only.  It starts no thread, and its child interpreters run one at a
+time.  It writes nothing but its temporary directory, which it removes.
+The garbage collector is off while an in-process run is timed.
 """
 
 from __future__ import annotations
 
+import calendar
 import gc
 import importlib
+import random
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
 ROUNDS = 7
 REPEATS = 5
+COLD_IMPORTS = 15
 SIDES = ("parent", "change")
-DATES = ("1583-01-01", "1777-07-04", "1900-02-28", "2000-02-29", "2024-12-31", "2263-05-17",
-         "2451-10-09", "2599-12-31")
+SEED = 1
+
+
+def draw_dates(rng: random.Random, n: int) -> tuple[str, ...]:
+    """n ISO dates drawn in the order bench/workloads.py's `random_date` draws them."""
+    dates = []
+    for _ in range(n):
+        y = rng.randint(1583, 2599)
+        m = rng.randint(1, 12)
+        dates.append(f"{y:04d}-{m:02d}-{rng.randint(1, calendar.monthrange(y, m)[1]):02d}")
+    return tuple(dates)
+
+
+DATES = draw_dates(random.Random(SEED), 256)
 DERIVED = ((3, "pos"), (5, "neg"), (7, "pos"), (9, "neg"), (11, "pos"), (13, "neg"),
            (15, "pos"), (17, "neg"), (19, "pos"), (21, "neg"), (23, "pos"), (27, "neg"))
 
@@ -149,6 +176,13 @@ PROBES = {
 }
 
 
+def cold_import(tmp: Path, side: str) -> float:
+    """Seconds a fresh interpreter takes to import the side's package, timed inside it."""
+    code = f"import time; t = time.perf_counter(); import ydow_{side}; print(time.perf_counter() - t)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp, capture_output=True, text=True, check=True)
+    return float(done.stdout)
+
+
 def best_of(probe, ydow) -> float:
     times = []
     for _ in range(REPEATS):
@@ -173,6 +207,19 @@ def load(sources: list[Path], tmp: Path) -> dict:
     return packages
 
 
+def report(name: str, rounds: int, time_side) -> None:
+    """Print one row: each side's median of `time_side(side)` over the rounds, and the per-round ratios."""
+    times = {side: [] for side in SIDES}
+    ratios = []
+    for i in range(rounds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            times[side].append(time_side(side))
+        ratios.append(times["change"][-1] / times["parent"][-1])
+    parent, change = (statistics.median(times[side]) * 1e6 for side in SIDES)
+    print(f"{name:22} {parent:10.1f} {change:10.1f}  {statistics.median(ratios):.3f} "
+          f"[{min(ratios):.3f}, {max(ratios):.3f}]")
+
+
 def main(argv: list[str]) -> int:
     sources = [Path(arg) for arg in argv]
     if len(sources) != 2 or not all((src / "ydow" / "__init__.py").is_file() for src in sources):
@@ -181,20 +228,13 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="ydow-ab-") as tmp:
         packages = load(sources, Path(tmp))
+        print(f"{'probe':22} {'parent us':>10} {'change us':>10}  change/parent: median [min, max]")
+        report("cold import", COLD_IMPORTS, partial(cold_import, Path(tmp)))
         for ydow in packages.values():  # warm the memos and compile every kernel before any timing
             for probe in PROBES.values():
                 probe(ydow)
-        print(f"{'probe':22} {'parent us':>10} {'change us':>10}  change/parent: median [min, max]")
         for name, probe in PROBES.items():
-            times = {side: [] for side in SIDES}
-            ratios = []
-            for i in range(ROUNDS):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    times[side].append(best_of(probe, packages[side]))
-                ratios.append(times["change"][-1] / times["parent"][-1])
-            parent, change = (statistics.median(times[side]) * 1e6 for side in SIDES)
-            print(f"{name:22} {parent:10.1f} {change:10.1f}  {statistics.median(ratios):.3f} "
-                  f"[{min(ratios):.3f}, {max(ratios):.3f}]")
+            report(name, ROUNDS, lambda side: best_of(probe, packages[side]))
     return 0
 
 
