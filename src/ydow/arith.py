@@ -5,6 +5,11 @@ the *year share* of a two-digit year y: floor(5y/4) reduced mod 7, the number
 of weekdays the date advances between the century year and year y (one day
 per common year, two per leap year).
 
+Every floor and remainder in ydow is Python's `//`, `%` or `divmod`, which
+round toward negative infinity.  `floor_div` is the checked form of `//`
+for a divisor that arrives as data, a trace step's operand, and `mod7`
+names `% 7`; both stay public.
+
 A method's output, `ShareResult`, is an immutable `typing.NamedTuple`:
 fields are read by name, assignment raises AttributeError, and a result
 compares equal to a plain tuple holding the same four values.
@@ -24,10 +29,13 @@ if TYPE_CHECKING:
 def floor_div(p: int, q: int) -> int:
     """Integer quotient of p by q, rounded toward negative infinity.
 
-    Python's `//` already rounds this way.  A port must not replace it with
-    a truncating division (C's `/`, `int(p / q)`): the congruences the
-    year-share formulas rely on break under truncation for negative
-    dividends.
+    This is Python's `//`, the one floor division in ydow, checked for a
+    divisor that arrives as data: replaying a `div_split` step reads its
+    divisor from the step's operands, and a divisor <= 0 raises ValueError.
+    Code whose divisor is a constant writes `//` itself.  A port must not
+    replace it with a truncating division (C's `/`, `int(p / q)`): the
+    congruences the year-share formulas rely on break under truncation for
+    negative dividends.
 
     >>> floor_div(7, 2)
     3
@@ -63,13 +71,13 @@ def check_year2(y: int) -> int:
 
 
 def year_share(y: int) -> int:
-    """The year share of y: mod7(floor(5y/4)), identically mod7(y + y//4).
+    """The year share of y: 5*y // 4 % 7, identically (y + y // 4) % 7.
 
     This is the reference value every method in the package must be
     congruent to; the test suite uses it as the brute-force oracle.
     """
     check_year2(y)
-    return mod7(floor_div(5 * y, 4))
+    return 5 * y // 4 % 7
 
 
 class SignConvention(Enum):

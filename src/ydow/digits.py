@@ -2,14 +2,14 @@
 
 Two flavors: eisele and harringer split off the tens/units digits of the
 largest multiple of four not exceeding the year, everything else uses the
-digits t, u of the year itself (y = 10t + u).  Floors of negative
-quantities round toward minus infinity throughout; wang and digits_ab
-genuinely depend on that.
+digits t, u of the year itself (y = 10t + u).  Every split is Python's
+`divmod` and every floor its `//`, which round toward minus infinity; wang
+and digits_ab quarter negative quantities and genuinely depend on that.
 """
 
 from __future__ import annotations
 
-from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2, floor_div
+from .arith import NEGATIVE, POSITIVE, ShareResult, check_year2
 from .trace import (
     ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, PARITY_TEST, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, traced,
 )
@@ -139,7 +139,7 @@ def wang(y: int) -> ShareResult:
     diff = u - t
     twot = 2 * t
     inner = u - twot
-    quarter = floor_div(inner, 4)
+    quarter = inner // 4
     raw = diff + quarter
     steps = (
         split,
@@ -165,7 +165,7 @@ def digits_ab(y: int) -> ShareResult:
     fiveu = 5 * u
     sixt = 6 * t
     d = fiveu - sixt
-    quarter = floor_div(d, 4)
+    quarter = d // 4
     raw = -quarter
     if d >= 0:
         qdesc = ("quarter, rounded down: floor({0}/4) = {1}",)

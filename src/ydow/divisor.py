@@ -38,6 +38,11 @@ the spec, outside its seven fields (see `_record`), so `repr`, `==`,
 `hash`, pickle, copy and `_replace` see only the fields, and every copy
 compiles its own plan and takes its kernel on its first evaluation.
 
+Every split here is Python's `divmod` (or `//` and `%`) after
+`check_year2`, and every floor its `//`: `div4`, `div12`,
+`DivisorSpec.value` and the kernels divide only by constants or by a
+spec's checked divisor.
+
 `div4` and `div12` compute the d=4 and d=12 table entries but keep their
 own traces.  Running them through `eval_divisor` would keep their values,
 their costs under the default model and their largest magnitudes, yet it
@@ -51,7 +56,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ._record import Record, check_int, echo, member
-from .arith import ShareResult, SignConvention, check_year2, floor_div
+from .arith import ShareResult, SignConvention, check_year2
 from .trace import (
     ADD_CONST, DIV_SPLIT, HALVE, MUL_SMALL, QUARTER_FLOOR, SIGN_FLIP, SUB_CONST, StepKind, traced,
 )
@@ -105,10 +110,10 @@ class DivisorSpec(Record):
         object.__setattr__(self, "_plan", _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
-        q, r = divmod_split(y, self.d)
+        q, r = divmod(check_year2(y), self.d)
         total = self.coef_q * q + self.coef_r * r
         if self.coef_floor != 0:
-            total += self.coef_floor * floor_div(self.inner_q * q + self.inner_r * r, 4)
+            total += self.coef_floor * ((self.inner_q * q + self.inner_r * r) // 4)
         return total
 
     def formula(self) -> str:
@@ -125,16 +130,6 @@ class DivisorSpec(Record):
             "delta_q": self.inner_q,
             "delta_r": self.inner_r,
         }
-
-
-def _append_term(text: str, coef: int, sym: str) -> str:
-    if coef == 0:
-        return text
-    mag = abs(coef)
-    term = sym if mag == 1 else f"{mag}{sym}"
-    if not text:
-        return term if coef > 0 else f"-{term}"
-    return f"{text} + {term}" if coef > 0 else f"{text} - {term}"
 
 
 def _compile_plan(
@@ -167,17 +162,19 @@ def _compile_plan(
         for coef, src, sym in terms:
             if coef == 0:
                 continue
-            m = abs(coef) if text else coef
+            mag, sign = abs(coef), "+" if coef > 0 else "-"
+            term = sym if mag == 1 else f"{mag}{sym}"
+            m = mag if text else coef
             pre = None if m == 1 else SIGN_FLIP if m == -1 else MUL_SMALL
             comb = None if not text else ADD_CONST if coef > 0 else SUB_CONST
-            text = _append_term(text, coef, sym)
+            text = f"{text} {sign} {term}" if text else term if coef > 0 else f"-{term}"
             shape.append((src, pre, comb))
             if pre is SIGN_FLIP:
                 data.append((f"-{sym} = {{1}}",))
             elif pre is MUL_SMALL:
                 data.extend(((f"{m}*{sym} = {{2}}",), m))
             if comb is not None:
-                data.append((f"{text}: {{0}} {'+' if coef > 0 else '-'} {{1}} = {{2}}",))
+                data.append((f"{text}: {{0}} {sign} {{1}} = {{2}}",))
         return text or "0"
 
     terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
@@ -278,14 +275,6 @@ BUILTIN_DIVISOR_SPECS: dict[int, DivisorSpec] = {
 }
 
 
-def divmod_split(y: int, d: int) -> tuple[int, int]:
-    """Quotient and remainder of y by d with 0 <= r < d."""
-    if d < 2:
-        raise ValueError(f"divisor must be >= 2, got {echo(d)}")
-    check_year2(y)
-    return y // d, y % d
-
-
 def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
     """Evaluate a divisor formula at y, recording one step per mental operation.
 
@@ -353,7 +342,7 @@ def div4(y: int) -> ShareResult:
     share); the trace follows the halving phrasing people actually use.
     """
     spec = BUILTIN_DIVISOR_SPECS[4]
-    q, r = divmod_split(y, 4)
+    q, r = divmod(check_year2(y), 4)
     m = 4 * q
     half = m // 2
     raw = half - r
@@ -372,8 +361,8 @@ def div12(y: int) -> ShareResult:
     positive share), phrased the way the rule is usually taught.
     """
     spec = BUILTIN_DIVISOR_SPECS[12]
-    q, r = divmod_split(y, 12)
-    fours = floor_div(r, 4)
+    q, r = divmod(check_year2(y), 12)
+    fours = r // 4
     raw = q + r + fours
     steps = (
         (DIV_SPLIT, ("dozens in {}: {}, remainder {}", y, q, r), (y, 12), q),

@@ -1,6 +1,7 @@
 import doctest
 
 import pytest
+from conftest import python_frames
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -79,6 +80,12 @@ def test_year_share_equivalent_form():
     # floor(5y/4) and y + floor(y/4) are the same thing mod 7
     for y in range(100):
         assert year_share(y) == (y + y // 4) % 7
+
+
+def test_year_share_runs_two_python_frames():
+    # the floor and the reduction are Python's `//` and `%`: only the year check is a call
+    for y in (0, 59, 99):
+        assert python_frames(year_share, y) == ["year_share", "check_year2"]
 
 
 def test_normalize_positive():

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import python_frames
 
 import ydow
 from ydow import divisor
 from ydow._record import ECHO_LIMIT
-from ydow.arith import SignConvention, mod7, normalize, year_share
+from ydow.arith import SignConvention, check_year2, mod7, normalize, year_share
 from ydow.divisor import (
     BUILTIN_DIVISOR_SPECS,
     DivisorSpec,
@@ -19,11 +20,10 @@ from ydow.divisor import (
     derive_divisor_formula,
     div4,
     div12,
-    divmod_split,
     eval_divisor,
 )
 from ydow.trace import (
-    ADD_CONST, DIV_SPLIT, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, StepKind, StepTrace,
+    ADD_CONST, DIV_SPLIT, MUL_SMALL, QUARTER_FLOOR, SET, SIGN_FLIP, SUB_CONST, StepKind, StepTrace,
 )
 
 POS = SignConvention.POSITIVE
@@ -95,13 +95,20 @@ def test_to_json_dict_keys():
     }
 
 
-def test_divmod_split():
-    assert divmod_split(59, 12) == (4, 11)
-    assert divmod_split(3, 4) == (0, 3)
-    with pytest.raises(ValueError):
-        divmod_split(10, 1)
-    with pytest.raises(ValueError):
-        divmod_split(100, 4)
+def test_a_spec_value_runs_two_python_frames():
+    for spec in BUILTIN_DIVISOR_SPECS.values():
+        for y in (0, 59, 99):
+            assert python_frames(spec.value, y) == ["value", "check_year2"], (spec, y)
+
+
+@pytest.mark.parametrize("y", [-1, 100, 3.5, "12", None, True])
+def test_div4_div12_and_a_spec_value_refuse_a_bad_year_as_check_year2_does(y):
+    with pytest.raises(ValueError) as want:
+        check_year2(y)
+    for func in (div4, div12, BUILTIN_DIVISOR_SPECS[5].value, BUILTIN_DIVISOR_SPECS[12].value):
+        with pytest.raises(ValueError) as got:
+            func(y)
+        assert str(got.value) == str(want.value), func
 
 
 def test_eval_divisor_traces_replay():
@@ -291,45 +298,57 @@ def test_unknown_sign_convention_is_rejected(value):
 
 
 def reference_eval(spec, y):
-    """The op-by-op interpreter the shape kernels replaced, reading the same plan.
+    """An op-by-op interpreter of the spec's seven fields; it reads nothing of the compiled plan.
 
-    Each op of the shape, `(src, pre, comb)`, takes its data from the
-    params in order: a `pre` template, `m` for MUL_SMALL and a `comb`
-    template, each only where its step exists (see `_compile_plan`).
-    Every template but the split's is a lone template, recorded as it is.
+    After the split it records each sum, the inner one under the floor and
+    then the outer one, left to right over its non-zero terms.  A leading
+    term starts the sum as coef*value: as it is for 1, by a SIGN_FLIP for
+    -1, else by a MUL_SMALL.  A later term is taken |coef| times (a
+    MUL_SMALL unless |coef| is 1) and added or subtracted by its sign.  The
+    inner sum, parenthesised when it has two terms, is floored by four in a
+    QUARTER_FLOOR step.  Each template is a lone template naming the sum's
+    text so far, as the trace shows it.
     """
-    shape, params, _ = spec._plan
-    data = iter(params[2:])
-    ops = [
-        (src, pre, next(data) if pre else None, next(data) if pre is MUL_SMALL else None, comb,
-         next(data) if comb else None)
-        for src, pre, comb in shape
-    ]
     d = spec.d
-    q, r = divmod_split(y, d)
+    q, r = y // d, y % d
     steps = [(DIV_SPLIT, ("split {0} = {1}*{2} + {3} (q={2}, r={3})", y, d, q, r), (y, d), q)]
-    vals = [q, r, 0]
-    acc = 0
-    for src, pre, pre_text, m, comb, comb_text in ops:
-        if pre is QUARTER_FLOOR:  # closes the inner sum; the outer sum reads it as vals[2]
-            fval = vals[2] = acc // 4
-            steps.append((QUARTER_FLOOR, pre_text, (acc,), fval))
-            continue
-        val = vals[src]
-        if pre is None:
-            operand = val
-        elif pre is SIGN_FLIP:
-            operand = -val
-            steps.append((SIGN_FLIP, pre_text, (val,), operand))
-        else:
-            operand = m * val
-            steps.append((MUL_SMALL, pre_text, (m, val), operand))
-        if comb is None:
-            acc = operand
-        else:
-            new = acc + operand if comb is ADD_CONST else acc - operand
-            steps.append((comb, comb_text, (acc, operand), new))
+
+    def fold(terms):
+        text, acc = "", 0
+        for coef, val, sym in terms:
+            if coef == 0:
+                continue
+            mag = abs(coef)
+            term = sym if mag == 1 else f"{mag}{sym}"
+            if not text:
+                acc = coef * val
+                if coef == -1:
+                    steps.append((SIGN_FLIP, (f"-{sym} = {{1}}",), (val,), acc))
+                elif coef != 1:
+                    steps.append((MUL_SMALL, (f"{coef}*{sym} = {{2}}",), (coef, val), acc))
+                text = term if coef > 0 else f"-{term}"
+                continue
+            operand = mag * val
+            if mag != 1:
+                steps.append((MUL_SMALL, (f"{mag}*{sym} = {{2}}",), (mag, val), operand))
+            if coef > 0:
+                text, new = f"{text} + {term}", acc + operand
+                steps.append((ADD_CONST, (f"{text}: {{0}} + {{1}} = {{2}}",), (acc, operand), new))
+            else:
+                text, new = f"{text} - {term}", acc - operand
+                steps.append((SUB_CONST, (f"{text}: {{0}} - {{1}} = {{2}}",), (acc, operand), new))
             acc = new
+        return text or "0", acc
+
+    terms = [(spec.coef_q, q, "q"), (spec.coef_r, r, "r")]
+    if spec.coef_floor != 0:
+        inner_text, inner = fold([(spec.inner_q, q, "q"), (spec.inner_r, r, "r")])
+        if spec.inner_q and spec.inner_r:
+            inner_text = f"({inner_text})"
+        f = inner // 4
+        steps.append((QUARTER_FLOOR, (f"floor({inner_text}/4) = floor({{0}}/4) = {{1}}",), (inner,), f))
+        terms.append((spec.coef_floor, f, f"floor({inner_text}/4)"))
+    _, acc = fold(terms)
     if steps[-1][3] != acc:
         # degenerate single-term formula; pin the final value explicitly
         steps.append((SET, ("value is {0}",), (acc,), acc))

@@ -174,6 +174,17 @@ def test_a_warm_value_path_call_runs_one_python_frame():
             assert python_frames(dow, cd, mid, pl, with_trace=False) == ["dow"], (mid, pl)
 
 
+def test_a_warm_traced_call_runs_six_python_frames():
+    # the method's result comes from the memo, so no method body runs; the
+    # assembly reads the leap rule, copies the method's steps and builds the trace
+    cd = CivilDate(2024, 12, 27)
+    want = ["dow", "_cached_eval", "is_leap", "_build_trace", "steps", "__init__"]
+    for mid in method_ids():
+        for pl in PipelineId:
+            dow(cd, mid, pl)
+            assert python_frames(dow, cd, mid, pl) == want, (mid, pl)
+
+
 def test_pipeline_accepts_string_ids():
     a = dow(CivilDate(2023, 6, 15), "wang", "first-sunday")
     b = dow(CivilDate(2023, 6, 15), "wang", PipelineId.FIRST_SUNDAY)
@@ -245,9 +256,9 @@ def test_dow_over_a_full_400_year_cycle(gregorian_cycle):
 
     Gregorian weekdays repeat every 400 years (146,097 days, exactly 20,871
     weeks), and the assembly reads the year only through year mod 400: the
-    value path indexes its doomsday and month-anchor tables by it.  A
-    method enters the value path only through the residue that fills its
-    doomsday entry, `(century anchor + residue) % 7`, and acceptance
+    value path indexes its weekday rows by it.  A method enters the value
+    path only through the residue that picks its weekday row, by the
+    year's doomsday `(century anchor + residue) % 7`, and acceptance
     criterion 1 proves `residue == year_share(y)` for every method and
     year.  So one method of each sign convention over one full cycle covers
     every method x pipeline for all Gregorian dates.
@@ -266,7 +277,7 @@ def _off_by_one_at(func, bad_y, y):
     return normalize(share.raw + 1, share.convention, share.trace)
 
 
-def test_swapped_method_gets_its_own_doomsday_table(monkeypatch):
+def test_swapped_method_gets_its_own_weekday_rows(monkeypatch):
     # one Jan 1 per year of a full cycle, answered before, during and after
     # a registry entry with a wrong residue for y = 37 only is installed
     dates = [CivilDate(year, 1, 1) for year in range(2000, 2400)]
@@ -290,7 +301,7 @@ def test_swapped_method_gets_its_own_doomsday_table(monkeypatch):
             assert now == was, cd
 
 
-def test_doomsday_tables_stay_bounded(monkeypatch):
+def test_weekday_rows_stay_bounded(monkeypatch):
     bound = registry._MAX_MEMOS
     desc = METHODS["odd11"]
     cd = CivilDate(2023, 6, 15)

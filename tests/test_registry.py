@@ -2,6 +2,7 @@ import re
 from functools import partial
 
 import pytest
+from conftest import python_frames
 
 from ydow import registry
 from ydow._record import Record
@@ -287,3 +288,24 @@ def test_unknown_method_message_stays_short():
         get_method("x" * 1000)
     assert str(exc.value).startswith("unknown method '" + "x" * 59 + "...")
     assert len(str(exc.value)) <= 200
+
+
+DIGIT_SPLITTERS = {"digits-aa", "fong", "wang", "digits-ab"}
+
+
+@pytest.mark.parametrize("mid", list(METHODS))
+def test_a_method_body_runs_four_python_frames(mid):
+    # its floors and splits are Python's `//`, `%` and `divmod`, so the body
+    # calls only the year check, the trace constructor and the residue rule;
+    # a derived spec's kernel calls the year check only on a bad year, and
+    # the digit methods also call `_digit_split`
+    func = METHODS[mid].func
+    func(0)  # a derived spec takes its shape's kernel on its first evaluation
+    if isinstance(func, partial):
+        want = ["eval_divisor", "kernel", "traced", "normalize"]
+    else:
+        want = [func.__name__, "check_year2", "traced", "normalize"]
+        if mid in DIGIT_SPLITTERS:
+            want.insert(2, "_digit_split")
+    for y in (0, 37, 59, 99):
+        assert python_frames(func, y) == want, y
