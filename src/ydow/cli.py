@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure (or underivable formula),
-2 usage or parse error.
+2 usage or parse error, 141 stdout closed by its reader (as by `| head -1`),
+the status a shell reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -128,7 +130,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    model = load_cost_model(args.model) if args.model else DEFAULT_COST_MODEL
+    model = DEFAULT_COST_MODEL if args.model is None else load_cost_model(args.model)
     ids = [args.method] if args.method else method_ids()
     rows = cost_report(ids, model)
     if args.format == "json":
@@ -250,10 +252,18 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed stdout raises inside the try
+        return code
     except ValueError as exc:  # every named input error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader has gone, as after `| head -1`
+        # stdout now writes to devnull, so the interpreter's own flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -9,34 +9,38 @@ with small coefficients.  Six divisors ship as a built-in table; the
 derivation engine reconstructs such a formula for any divisor in [2, 28]
 that admits one with the inner q-coefficient in {-1, 0, 1}.
 
-Each `DivisorSpec` compiles its step plan once, when it is constructed:
-which terms are non-zero, whether each is negated, multiplied, added or
-subtracted, and every symbol text ("q + r", "floor((q + r)/4)", ...).  The
-plan splits into a *shape*, the sequence of `(src, pre, comb)` of its ops
-(which value each term reads, which step takes its multiple, which step adds
-it to the running sum), and the data that fill it in: the divisor, the
-convention, the multipliers and the step templates.  Every template but the
-split's shows only its step's own operands and result, so the plan holds it
-as a lone template, a constant 1-tuple (see `trace`), and the kernel records
-it as it is, with no value tuple.  `eval_divisor` runs one straight-line
-kernel per shape, generated and compiled the first time a spec of that
-shape is evaluated and kept in `_KERNELS`: it splits y, computes the numbers
-and records them with the plan's templates (formatted when a trace's text
-is first read), with no loop over ops; it calls the year check only on a
-bad year, and ends in `trace.traced`, as every method body does.  The
-kernel's source depends on the shape alone and holds no value, only fixed
-names and the ints it computes with; every value reaches it as data, so
-specs that differ only in their divisor, multipliers, signs or texts share
-one kernel, and no text of a spec is ever compiled.  The cache needs no
-bound: shapes are few (each of the four other coefficients is zero, 1, -1,
-another positive or another negative value, and the floor coefficient -1,
-0 or 1, which allows at most 741 shapes), and it holds code, never a
-result, so every call still computes its numbers and builds a fresh trace.
-`formula()` returns the plan's text of the whole formula, so it and the
-trace write every term alike.  The plan and the kernel are private slots of
-the spec, outside its seven fields (see `_record`), so `repr`, `==`,
-`hash`, pickle, copy and `_replace` see only the fields, and every copy
-compiles its own plan and takes its kernel on its first evaluation.
+Each `DivisorSpec` compiles its step plan on its first evaluation, not when
+it is constructed: which terms are non-zero, whether each is negated,
+multiplied, added or subtracted, and every symbol text ("q + r",
+"floor((q + r)/4)", ...).  The plan splits into a *shape*, the sequence of
+`(src, pre, comb)` of its ops (which value each term reads, which step takes
+its multiple, which step adds it to the running sum), and the data that fill
+it in: the divisor, the convention, the multipliers and the step templates.
+Every template but the split's shows only its step's own operands and
+result, so the plan holds it as a lone template, a constant 1-tuple (see
+`trace`), and the kernel records it as it is, with no value tuple.
+`eval_divisor` runs one straight-line kernel per shape, generated and
+compiled the first time a spec of that shape is evaluated and kept in
+`_KERNELS`: it splits y, computes the numbers and records them with the
+plan's templates (formatted when a trace's text is first read), with no loop
+over ops; it calls the year check only on a bad year, and ends in
+`trace.traced`, as every method body does.  The kernel's source depends on
+the shape alone and holds no value, only fixed names and the ints it
+computes with; every value reaches it as data, so specs that differ only in
+their divisor, multipliers, signs or texts share one kernel, and no text of
+a spec is ever compiled.  The cache needs no bound: shapes are few (each of
+the four other coefficients is zero, 1, -1, another positive or another
+negative value, and the floor coefficient -1, 0 or 1, which allows at most
+741 shapes), and it holds code, never a result, so every call still computes
+its numbers and builds a fresh trace.  `formula()` compiles the plan again
+and returns its text of the whole formula, so it and the trace write every
+term alike.  A spec's one piece of private state, the slot `_run`, holds its
+shape's kernel and the plan's params; `eval_divisor` alone writes it, once, on
+the spec's first evaluation.  It lies outside the seven fields (see
+`_record`), so `repr`, `==`, `hash`, pickle, copy and `_replace` see only
+the fields.  A spec that is never evaluated (one derived for
+`derive --json`, a copy, the built-in d=4 and d=12 specs) never compiles a
+plan, and every copy compiles its own on its first evaluation.
 
 Every split here is Python's `divmod` (or `//` and `%`) after
 `check_year2`, and every floor its `//`: `div4`, `div12`,
@@ -84,11 +88,15 @@ class DivisorSpec(Record):
     not); anything else raises ValueError before any range is checked.
     The divisor lies in [2, MAX_DIVISOR], the floor coefficient is -1, 0
     or 1, and the other four lie in [-MAX_COEF, MAX_COEF].
+
+    Construction checks and stores the seven fields and nothing else; the
+    step plan is compiled on the spec's first evaluation (see
+    `eval_divisor`).
     """
 
     _fields = ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r")
-    # The compiled plan and, from the first evaluation on, the shape's kernel.
-    __slots__ = (*_fields, "_plan", "_kernel")
+    # (the shape's kernel, the plan's params), written by `eval_divisor` on the first evaluation
+    __slots__ = (*_fields, "_run")
 
     def __init__(
         self, d: int, convention: SignConvention | str, coef_q: int, coef_r: int, coef_floor: int, inner_q: int,
@@ -107,7 +115,6 @@ class DivisorSpec(Record):
                 raise ValueError(f"{name} must be in [-{MAX_COEF}, {MAX_COEF}], got {echo(value)}")
         convention = member(SignConvention, convention)
         super().__init__(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r)
-        object.__setattr__(self, "_plan", _compile_plan(d, convention, coef_q, coef_r, coef_floor, inner_q, inner_r))
 
     def value(self, y: int) -> int:
         q, r = divmod(check_year2(y), self.d)
@@ -118,7 +125,7 @@ class DivisorSpec(Record):
 
     def formula(self) -> str:
         """The formula as its trace names it, e.g. "q - r - floor((q + r)/4)"."""
-        return self._plan[2]
+        return _compile_plan(self)[2]
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,10 +139,11 @@ class DivisorSpec(Record):
         }
 
 
-def _compile_plan(
-    d: int, convention: SignConvention, coef_q: int, coef_r: int, coef_floor: int, inner_q: int, inner_r: int,
-) -> tuple:
+def _compile_plan(spec: DivisorSpec) -> tuple:
     """A spec's steps after the split, as a shape and its params, and its formula text.
+
+    `eval_divisor` compiles it on a spec's first evaluation and keeps the
+    params beside the shape's kernel; `formula()` compiles it for the text.
 
     Each sum (the inner one under the floor, then the outer one) is folded
     left to right over its non-zero coef*value terms; an empty sum reads
@@ -177,16 +185,16 @@ def _compile_plan(
                 data.append((f"{text}: {{0}} {sign} {{1}} = {{2}}",))
         return text or "0"
 
-    terms = [(coef_q, 0, "q"), (coef_r, 1, "r")]
-    if coef_floor != 0:
-        inner = fold([(inner_q, 0, "q"), (inner_r, 1, "r")])
+    terms = [(spec.coef_q, 0, "q"), (spec.coef_r, 1, "r")]
+    if spec.coef_floor != 0:
+        inner = fold([(spec.inner_q, 0, "q"), (spec.inner_r, 1, "r")])
         if " " in inner:
             inner = f"({inner})"
         shape.append((2, QUARTER_FLOOR, None))
         data.append((f"floor({inner}/4) = floor({{0}}/4) = {{1}}",))
-        terms.append((coef_floor, 2, f"floor({inner}/4)"))
+        terms.append((spec.coef_floor, 2, f"floor({inner}/4)"))
     text = fold(terms)
-    return tuple(shape), (d, convention, *data), text
+    return tuple(shape), (spec.d, spec.convention, *data), text
 
 
 # What a kernel's source may name besides its own locals; no builtins.
@@ -280,19 +288,21 @@ def eval_divisor(spec: DivisorSpec, y: int) -> ShareResult:
 
     The steps follow the spec's plan (see `_compile_plan`); the kernel of
     the plan's shape (see `_kernel_source`) splits y, computes the numbers
-    and records them with the plan's templates.
+    and records them with the plan's templates.  The spec's first
+    evaluation compiles its plan and keeps the kernel and the plan's params
+    in the spec's `_run` slot, which nothing else writes.
     """
     try:
-        kernel = spec._kernel
-    except AttributeError:  # the spec's first evaluation: its shape's kernel, compiled if no spec has run it yet
-        shape = spec._plan[0]
+        kernel, params = spec._run
+    except AttributeError:  # the first evaluation: the plan, and its shape's kernel, compiled if no spec has run it yet
+        shape, params, _ = _compile_plan(spec)
         kernel = _KERNELS.get(shape)
         if kernel is None:
             namespace = dict(_KERNEL_GLOBALS)
             exec(compile(_kernel_source(shape), "<ydow.divisor kernel>", "exec"), namespace)
             kernel = _KERNELS[shape] = namespace["kernel"]
-        object.__setattr__(spec, "_kernel", kernel)
-    return kernel(y, spec._plan[1])
+        object.__setattr__(spec, "_run", (kernel, params))
+    return kernel(y, params)
 
 
 def derive_divisor_formula(d: int, convention: SignConvention | str) -> DivisorSpec:

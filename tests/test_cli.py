@@ -280,6 +280,30 @@ def test_cost_missing_model_exits_2(capsys, tmp_path):
     assert "cannot read cost model" in _one_error_line(err)
 
 
+def test_cost_empty_model_path_exits_2(capsys):
+    # an empty path names no file; it does not fall back to the default model
+    code, out, err = run(capsys, "cost", "--model", "", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == "error: cannot read cost model '': No such file or directory"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the pipe has no reader from the start, as when `| head -1` has already exited
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ydow.cli", "table", "--method", "wang", "--format", "csv"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

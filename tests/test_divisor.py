@@ -1,4 +1,5 @@
 import ast
+import copy
 import itertools
 import os
 import pickle
@@ -399,20 +400,26 @@ def test_kernels_equal_the_reference_and_compile_once_per_shape(monkeypatch):
     specs = [DivisorSpec(7, POS, *coefs) for coefs in GRID]
     specs += [DivisorSpec(7, NEG, *coefs) for coefs in GRID[::25]]
     specs += derivable_specs() + [spec._replace() for spec in BUILTIN_DIVISOR_SPECS.values()]
+    plans = {spec: divisor._compile_plan(spec) for spec in specs}
     # the recorded tuples, read before `.steps`, decide the formatted steps;
     # comparing whole results, which formats them, is kept to the specs users
     # meet.  Specs with equal plans (those with no floor term differ only in
     # their unused inner coefficients) give the kernel equal input; one of
     # each runs.
+    ran = {plan: spec for spec, plan in plans.items()}.values()
     assert [
-        (spec, y) for spec in {spec._plan: spec for spec in specs}.values() for y in range(100)
+        (spec, y) for spec in ran for y in range(100)
         if not recorded_alike(eval_divisor(spec, y), reference_eval(spec, y))
     ] == []
     for spec in specs[-46:]:
         assert [eval_divisor(spec, y) for y in range(100)] == [reference_eval(spec, y) for y in range(100)], spec
-    shapes = {spec._plan[0] for spec in specs}
+    shapes = {shape for shape, _, _ in plans.values()}
     assert len(shapes) == 741
     assert set(divisor._KERNELS) == shapes and len(sources) == len(shapes)
+    # every spec that ran holds its shape's one kernel and its plan's params
+    for spec in ran:
+        shape, params, _ = plans[spec]
+        assert spec._run[0] is divisor._KERNELS[shape] and spec._run[1] == params
     for source in sources:
         nodes = list(ast.walk(ast.parse(source)))
         assert {type(n.value) for n in nodes if isinstance(n, ast.Constant)} <= {int, type(None)}, source
@@ -426,32 +433,73 @@ def test_kernels_equal_the_reference_and_compile_once_per_shape(monkeypatch):
 
 def test_the_builtin_and_derived_specs_use_24_shapes():
     specs = derivable_specs() + list(BUILTIN_DIVISOR_SPECS.values())
-    assert len(specs) == 46 and len({spec._plan[0] for spec in specs}) == 24
+    assert len(specs) == 46 and len({divisor._compile_plan(spec)[0] for spec in specs}) == 24
 
 
 def test_a_new_spec_takes_its_shapes_kernel_when_it_is_compiled(monkeypatch):
     monkeypatch.setattr(divisor, "_KERNELS", {})
     first = DivisorSpec(19, POS, 3, -2, 1, 1, -1)
-    assert not hasattr(first, "_kernel")  # no kernel of its shape yet
+    assert not hasattr(first, "_run")  # no kernel of its shape yet
     eval_divisor(first, 57)
-    kernel = first._kernel
+    kernel = first._run[0]
     assert list(divisor._KERNELS.values()) == [kernel]
     # a spec of the same shape, built afterwards, and each copy of it take it on their first evaluation
     second = DivisorSpec(23, NEG, 5, -4, 1, 1, -1)
-    assert second._plan[0] == first._plan[0]
+    assert divisor._compile_plan(second)[0] == divisor._compile_plan(first)[0]
     for spec in (second, second._replace(), pickle.loads(pickle.dumps(second))):
-        assert not hasattr(spec, "_kernel")
+        assert not hasattr(spec, "_run")
         assert eval_divisor(spec, 57) == reference_eval(spec, 57)
-        assert spec._kernel is kernel
+        assert spec._run == (kernel, divisor._compile_plan(spec)[1])
     assert len(divisor._KERNELS) == 1
     # a spec of another shape waits for its first evaluation
     other = DivisorSpec(23, NEG, 5, -4, 0, 0, 0)
-    assert not hasattr(other, "_kernel")
+    assert not hasattr(other, "_run")
+
+
+def test_a_spec_holds_one_private_slot_that_only_eval_divisor_writes():
+    assert DivisorSpec.__slots__ == (*DivisorSpec._fields, "_run")
+    tree = ast.parse(Path(divisor.__file__).read_text(encoding="utf-8"))
+    users = {
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.Constant) and node.value == "_run"
+    }
+    assert users == {"eval_divisor"}
+
+
+def test_a_spec_compiles_nothing_until_its_first_evaluation(monkeypatch):
+    compiled = []
+    real_plan = divisor._compile_plan
+
+    def counted_plan(spec):
+        compiled.append(spec)
+        return real_plan(spec)
+
+    monkeypatch.setattr(divisor, "_KERNELS", {})
+    monkeypatch.setattr(divisor, "_compile_plan", counted_plan)
+    spec = derive_divisor_formula(19, "neg")
+    built = [
+        spec, DivisorSpec(19, NEG, 1, -1, -1, 1, 1), spec._replace(), spec._replace(coef_q=3),
+        copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec)),
+    ]
+    assert compiled == []
+    assert spec.formula() == "-3q - r - floor((-q + r)/4)" and spec.to_json_dict()["alpha"] == -3
+    assert compiled == [spec]  # formula() compiles the plan for its text and keeps nothing
+    for each in built:
+        assert not hasattr(each, "_run"), each
+    assert divisor._KERNELS == {}
+    # an evaluated spec's copies start without its state
+    eval_divisor(spec, 37)
+    assert len(divisor._KERNELS) == 1
+    for each in (spec._replace(), copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert each == spec and not hasattr(each, "_run")
 
 
 def test_import_ydow_compiles_no_kernel():
     src = Path(ydow.__file__).resolve().parent.parent
-    code = "import ydow, ydow.divisor as dv; print(len(dv._KERNELS))"
+    code = (
+        "import ydow, ydow.divisor as dv; "
+        "print(len(dv._KERNELS), sum(hasattr(s, '_run') for s in dv.BUILTIN_DIVISOR_SPECS.values()))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -459,4 +507,4 @@ def test_import_ydow_compiles_no_kernel():
         text=True,
         check=True,
     )
-    assert proc.stdout.split() == ["0"]
+    assert proc.stdout.split() == ["0", "0"]  # no kernel, and no built-in spec has run

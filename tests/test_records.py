@@ -193,20 +193,24 @@ def test_the_shipped_records_pickle():
 
 
 def test_a_divisor_plan_stays_out_of_the_record():
-    # DivisorSpec compiles its step plan into a private slot, which no
-    # record behaviour reads; every copy rebuilds it through __init__
+    # DivisorSpec keeps its kernel and plan params in a private slot, set on
+    # its first evaluation, which no record behaviour reads; every copy
+    # rebuilds through __init__ and sets its own on its first evaluation
     spec = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
-    assert "_plan" not in spec._fields and spec._plan
+    eval_divisor(spec, 37)
+    assert "_run" not in spec._fields and spec._run
     assert repr(spec) == CASES[4][1]
     assert spec.__reduce__() == (DivisorSpec, fields_of(spec))
     stale = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
-    object.__setattr__(stale, "_plan", ())
+    object.__setattr__(stale, "_run", ())
     assert stale == spec and hash(stale) == hash(spec) == hash(fields_of(spec))
     for twin in (copy.copy(stale), copy.deepcopy(stale), pickle.loads(pickle.dumps(stale)), stale._replace()):
-        assert twin == spec and twin._plan == spec._plan
+        assert twin == spec and not hasattr(twin, "_run")
+        eval_divisor(twin, 37)
+        assert twin._run == spec._run
     changed = spec._replace(coef_floor=0, coef_r=3)
-    assert changed._plan == DivisorSpec(5, NEG, 1, 3, 0, 1, 1)._plan != spec._plan
     assert eval_divisor(changed, 37) == eval_divisor(DivisorSpec(5, NEG, 1, 3, 0, 1, 1), 37)
+    assert changed._run[1] != spec._run[1]
 
 
 # Each record's fields, in order, as the repr strings above name them.

@@ -3,22 +3,28 @@
 Usage: python3 tools/ab.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding a `ydow` package, such as a checkout's
-`src`.  Both packages are copied into one temporary directory, as
-`ydow_parent` and `ydow_change`; ydow's modules import each other
+`src`.  Each package is copied into one temporary directory, as
+`ydow_parent`, `ydow_change` and so on; ydow's modules import each other
 relatively, so each copy runs under its own name.
 
 Each row is timed in rounds, the side that runs first alternating between
 rounds.  For each row the script prints each side's median over the
 rounds, in microseconds, and the median and range of the per-round ratios
-change/parent (below 1, the change is faster).
+change/parent, `c/p` (below 1, the change is faster).
 
 The first row, `cold import`, times `import ydow` in 15 rounds, each one
 fresh interpreter per side, started one at a time.  Each inherits the
 caller's environment, so with PYTHONDONTWRITEBYTECODE=1 every one compiles
 ydow from source, as a benchmark worker started in that environment does.
 
-Then both packages are imported side by side, and each probe below is
-timed in 7 rounds; a side's time in a round is the best of 5 runs.
+Then each tree is imported twice into this process, in the order parent,
+change, change, parent, as two pairs: in the first the parent was loaded
+first, in the second the change was.  A probe can favour the tree loaded
+first (a `.steps re-read` row once read about 1.08 against whichever tree
+was loaded second), so each row prints the ratios of both pairs, and a
+claim holds only if it holds in both.  Each probe below is
+timed in 7 rounds per pair; a side's time in a round is the best of 5 runs.
+The two sides' medians are over both pairs' rounds.
 
 The probes, each a fixed amount of work:
 
@@ -195,29 +201,33 @@ def best_of(probe, ydow) -> float:
     return min(times)
 
 
-def load(sources: list[Path], tmp: Path) -> dict:
-    """Copy each source tree's `ydow` into tmp under its side's name, and import it."""
+def load(named: list[tuple[str, Path]], tmp: Path) -> dict:
+    """Copy each named source tree's `ydow` into tmp as `ydow_<name>`, and import them in order."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(tmp))
     packages = {}
-    for side, src in zip(SIDES, sources):
-        shutil.copytree(src / "ydow", tmp / f"ydow_{side}", ignore=shutil.ignore_patterns("__pycache__"))
-        packages[side] = importlib.import_module(f"ydow_{side}")
-        importlib.import_module(f"ydow_{side}.divisor")
+    for name, src in named:
+        shutil.copytree(src / "ydow", tmp / f"ydow_{name}", ignore=shutil.ignore_patterns("__pycache__"))
+        packages[name] = importlib.import_module(f"ydow_{name}")
+        importlib.import_module(f"ydow_{name}.divisor")
     return packages
 
 
-def report(name: str, rounds: int, time_side) -> None:
-    """Print one row: each side's median of `time_side(side)` over the rounds, and the per-round ratios."""
-    times = {side: [] for side in SIDES}
+def ratios_of(rounds: int, time_side, times: dict) -> list[float]:
+    """The per-round ratios change/parent of `time_side(side)`; each time is also appended to times[side]."""
     ratios = []
     for i in range(rounds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             times[side].append(time_side(side))
         ratios.append(times["change"][-1] / times["parent"][-1])
+    return ratios
+
+
+def report(name: str, times: dict, *ratio_lists: list[float]) -> None:
+    """Print one row: each side's median time, then each list's median ratio and range."""
     parent, change = (statistics.median(times[side]) * 1e6 for side in SIDES)
-    print(f"{name:22} {parent:10.1f} {change:10.1f}  {statistics.median(ratios):.3f} "
-          f"[{min(ratios):.3f}, {max(ratios):.3f}]")
+    cells = [f"{statistics.median(r):.3f} [{min(r):.3f}, {max(r):.3f}]" for r in ratio_lists]
+    print(f"{name:22} {parent:10.1f} {change:10.1f}  " + "  ".join(f"{cell:22}" for cell in cells).rstrip())
 
 
 def main(argv: list[str]) -> int:
@@ -226,15 +236,21 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         print("each path must hold a ydow package", file=sys.stderr)
         return 2
+    parent, change = sources
     with tempfile.TemporaryDirectory(prefix="ydow-ab-") as tmp:
-        packages = load(sources, Path(tmp))
-        print(f"{'probe':22} {'parent us':>10} {'change us':>10}  change/parent: median [min, max]")
-        report("cold import", COLD_IMPORTS, partial(cold_import, Path(tmp)))
+        # the pairs: (parent, change) loaded parent first, then change first
+        packages = load([("parent", parent), ("change", change), ("change2", change), ("parent2", parent)], Path(tmp))
+        pairs = ({"parent": packages["parent"], "change": packages["change"]},
+                 {"parent": packages["parent2"], "change": packages["change2"]})
+        print(f"{'probe':22} {'parent us':>10} {'change us':>10}  {'c/p, parent first':22}  c/p, change first")
+        times = {side: [] for side in SIDES}
+        report("cold import", times, ratios_of(COLD_IMPORTS, partial(cold_import, Path(tmp)), times))
         for ydow in packages.values():  # warm the memos and compile every kernel before any timing
             for probe in PROBES.values():
                 probe(ydow)
         for name, probe in PROBES.items():
-            report(name, ROUNDS, lambda side: best_of(probe, packages[side]))
+            times = {side: [] for side in SIDES}
+            report(name, times, *[ratios_of(ROUNDS, lambda side: best_of(probe, pair[side]), times) for pair in pairs])
     return 0
 
 

@@ -108,7 +108,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="ydow-count-") as tmp:
         tables = []
-        for ydow in load(sources, Path(tmp)).values():
+        for ydow in load([(f"tree{i}", src) for i, src in enumerate(sources)], Path(tmp)).values():
             table = {}
             for name, (func, *args) in probes(ydow).items():
                 func(*args)
