@@ -22,9 +22,9 @@ change, change, parent, as two pairs: in the first the parent was loaded
 first, in the second the change was.  A probe can favour the tree loaded
 first (a `.steps re-read` row once read about 1.08 against whichever tree
 was loaded second), so each row prints the ratios of both pairs, and a
-claim holds only if it holds in both.  Each probe below is
-timed in 7 rounds per pair; a side's time in a round is the best of 5 runs.
-The two sides' medians are over both pairs' rounds.
+claim holds only if it holds in both.  Each probe below is timed in 7
+rounds per pair; a side's time in a round is the best of 5 runs.  The two
+sides' medians are over both pairs' rounds.
 
 The probes, each a fixed amount of work:
 
@@ -213,20 +213,22 @@ def load(named: list[tuple[str, Path]], tmp: Path) -> dict:
     return packages
 
 
-def ratios_of(rounds: int, time_side, times: dict) -> list[float]:
-    """The per-round ratios change/parent of `time_side(side)`; each time is also appended to times[side]."""
-    ratios = []
+def time_rounds(rounds: int, time_side) -> dict:
+    """Each side's `time_side(side)` per round, the side that runs first alternating between rounds."""
+    times = {side: [] for side in SIDES}
     for i in range(rounds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             times[side].append(time_side(side))
-        ratios.append(times["change"][-1] / times["parent"][-1])
-    return ratios
+    return times
 
 
-def report(name: str, times: dict, *ratio_lists: list[float]) -> None:
-    """Print one row: each side's median time, then each list's median ratio and range."""
-    parent, change = (statistics.median(times[side]) * 1e6 for side in SIDES)
-    cells = [f"{statistics.median(r):.3f} [{min(r):.3f}, {max(r):.3f}]" for r in ratio_lists]
+def report(name: str, *runs: dict) -> None:
+    """Print one row: each side's median over every run's rounds, then each run's change/parent ratios."""
+    parent, change = (statistics.median([t for run in runs for t in run[side]]) * 1e6 for side in SIDES)
+    cells = []
+    for run in runs:
+        ratios = [c / p for p, c in zip(run["parent"], run["change"])]
+        cells.append(f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
     print(f"{name:22} {parent:10.1f} {change:10.1f}  " + "  ".join(f"{cell:22}" for cell in cells).rstrip())
 
 
@@ -243,14 +245,12 @@ def main(argv: list[str]) -> int:
         pairs = ({"parent": packages["parent"], "change": packages["change"]},
                  {"parent": packages["parent2"], "change": packages["change2"]})
         print(f"{'probe':22} {'parent us':>10} {'change us':>10}  {'c/p, parent first':22}  c/p, change first")
-        times = {side: [] for side in SIDES}
-        report("cold import", times, ratios_of(COLD_IMPORTS, partial(cold_import, Path(tmp)), times))
+        report("cold import", time_rounds(COLD_IMPORTS, partial(cold_import, Path(tmp))))
         for ydow in packages.values():  # warm the memos and compile every kernel before any timing
             for probe in PROBES.values():
                 probe(ydow)
         for name, probe in PROBES.items():
-            times = {side: [] for side in SIDES}
-            report(name, times, *[ratios_of(ROUNDS, lambda side: best_of(probe, pair[side]), times) for pair in pairs])
+            report(name, *[time_rounds(ROUNDS, lambda side: best_of(probe, pair[side])) for pair in pairs])
     return 0
 
 
