@@ -17,7 +17,6 @@ from .arith import (
     year_share,
 )
 from .dates import (
-    AnchorConfig,
     CivilDate,
     DateParseError,
     DateValidationError,
@@ -64,7 +63,6 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorConfig",
     "BUILTIN_DIVISOR_SPECS",
     "CalendarPolicyError",
     "CivilDate",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure (or underivable formula),
-2 usage or parse error, 141 stdout closed by its reader (as by `| head -1`),
-the status a shell reports for a process ended by SIGPIPE.
+2 usage or parse error, 74 any other failed write to stdout (as to a full
+disk; EX_IOERR in sysexits.h), 141 stdout closed by its reader (as by
+`| head -1`), the status a shell reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -253,17 +254,21 @@ def main(argv=None) -> int:
         return 2
     try:
         code = args.func(args)
-        sys.stdout.flush()  # here, so a closed stdout raises inside the try
+        sys.stdout.flush()  # here, so a failed write to stdout raises inside the try
         return code
     except ValueError as exc:  # every named input error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # stdout's reader has gone, as after `| head -1`
-        # stdout now writes to devnull, so the interpreter's own flush at exit raises nothing
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
+        code = 141
+    except OSError as exc:  # any other failed write to stdout, as to a full disk
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = 74
+    # stdout now writes to devnull, so the interpreter's own flush at exit raises nothing
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

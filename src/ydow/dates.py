@@ -1,13 +1,12 @@
 """Civil dates, ISO parsing, and the day-count weekday oracle.
 
 Proleptic Gregorian throughout, years 1 to 9999 as in `datetime`.  The
-oracle never touches weekday formulas: it counts exact days from a single
-anchored date, so it can sit in judgment over every formula-based pipeline
-in the package.
+oracle never touches weekday formulas: it counts exact days from 0001-01-01,
+a Monday, so it can sit in judgment over every formula-based pipeline in
+the package.
 
-`CivilDate` and `AnchorConfig` are immutable records (see `_record`): they
-compare equal only to their own class, hash by their fields, and copy
-through `_replace`.
+`CivilDate` is an immutable record (see `_record`): it compares equal only
+to its own class, hashes by its fields, and copies through `_replace`.
 """
 
 from __future__ import annotations
@@ -146,17 +145,13 @@ def parse_date(text: str) -> CivilDate:
     return CivilDate(int(year), int(month), int(day))
 
 
-class AnchorConfig(Record):
-    __slots__ = _fields = ("reference_date", "reference_weekday")
-
-
-# 2000-01-01 was a Saturday; everything else is counted from there.
-DEFAULT_ANCHOR = AnchorConfig(CivilDate(2000, 1, 1), Weekday.SATURDAY)
-
 _WEEKDAYS = tuple(Weekday)  # weekday number -> Weekday, without the enum call
 
 
-def daycount_weekday(date: CivilDate, anchor: AnchorConfig = DEFAULT_ANCHOR) -> Weekday:
-    """Weekday by pure day counting from the anchor; no weekday formulas."""
-    delta = date.to_ordinal() - anchor.reference_date.to_ordinal()
-    return _WEEKDAYS[(anchor.reference_weekday + delta) % 7]
+def daycount_weekday(date: CivilDate) -> Weekday:
+    """Weekday by pure day counting; no weekday formulas.
+
+    Day 1 is 0001-01-01, a Monday, so the day number mod 7 is the weekday
+    number with Sunday = 0.
+    """
+    return _WEEKDAYS[date.to_ordinal() % 7]

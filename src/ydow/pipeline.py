@@ -127,7 +127,7 @@ def dow(
     if year < GREGORIAN_START_YEAR and not proleptic:
         raise CalendarPolicyError(
             f"{date} precedes the Gregorian calendar ({GREGORIAN_START_YEAR}); "
-            "pass proleptic=True to compute anyway"
+            "pass proleptic=True (--proleptic) to compute anyway"
         )
     y4 = year % 400
     if with_trace:

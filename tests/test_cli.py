@@ -1,5 +1,6 @@
 import contextlib
 import datetime
+import errno
 import io
 import json
 import os
@@ -304,6 +305,23 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose every write fails")
+@pytest.mark.parametrize(
+    "argv", [["table", "--method", "odd11", "--format", "csv"], ["dow", "--date", "2020-01-01"]], ids=["table", "dow"]
+)
+def test_a_failed_write_exits_74_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ydow.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 74
+    assert _one_error_line(proc.stderr) == f"error: cannot write output: {os.strerror(errno.ENOSPC)}"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -568,6 +586,7 @@ def test_dow_policy_and_proleptic(capsys):
     code, _, err = run(capsys, "dow", "--date", "1500-01-01")
     assert code == 2
     assert "proleptic" in err
+    assert "--proleptic" in err  # the spelling a CLI user can pass
     code, out, _ = run(capsys, "dow", "--date", "1500-01-01", "--proleptic")
     assert code == 0
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 import ydow.dates as dates
 from ydow.dates import (
-    DEFAULT_ANCHOR,
-    AnchorConfig,
     CivilDate,
     DateParseError,
     DateValidationError,
@@ -117,18 +115,6 @@ def test_anchor_datum():
     assert daycount_weekday(CivilDate(1970, 1, 1)) is Weekday.THURSDAY
 
 
-def test_alternate_anchor():
-    # anchoring on a different known day must not change any answer, over
-    # one full 400-year cycle (1601-2000, which holds both anchors)
-    alt = AnchorConfig(CivilDate(1970, 1, 1), Weekday.THURSDAY)
-    start = datetime.date(1601, 1, 1)
-    cycle = [start + datetime.timedelta(days=i) for i in range(146097)]
-    assert cycle[-1] == datetime.date(2000, 12, 31)
-    for d in cycle:
-        cd = CivilDate(d.year, d.month, d.day)
-        assert daycount_weekday(cd, alt) is daycount_weekday(cd, DEFAULT_ANCHOR), cd
-
-
 def test_civil_date_validation():
     with pytest.raises(DateValidationError):
         CivilDate(2023, 2, 29)
@@ -167,6 +153,11 @@ def test_parsing_a_day_up_to_28_runs_two_python_frames():
     assert python_frames(parse_date, "2024-02-28") == ["parse_date", "__init__"]
     assert python_frames(parse_date, "2023-12-01") == ["parse_date", "__init__"]
     assert python_frames(parse_date, "2024-02-29") == ["parse_date", "__init__", "month_length", "is_leap"]
+
+
+def test_the_oracle_runs_three_python_frames():
+    # one day count, of the date itself; a date after February reads its year's leap flag
+    assert python_frames(daycount_weekday, CivilDate(1987, 6, 15)) == ["daycount_weekday", "to_ordinal", "is_leap"]
 
 
 def test_years_stop_at_9999():

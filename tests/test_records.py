@@ -1,4 +1,4 @@
-"""The nine record types behave as the frozen dataclasses they replace did.
+"""The eight record types behave as the frozen dataclasses they replace did.
 
 Each case pins the constructor (fields in `_fields` order, by position or
 by name), the dataclass repr, equality only within the class, the hash of
@@ -19,7 +19,7 @@ import ydow
 from ydow import special
 from ydow._record import FrozenInstanceError, Record
 from ydow.arith import SignConvention
-from ydow.dates import AnchorConfig, CivilDate, DateValidationError, Weekday
+from ydow.dates import CivilDate, DateValidationError
 from ydow.divisor import DivisorSpec, eval_divisor
 from ydow.registry import (
     METHODS,
@@ -37,11 +37,6 @@ STEP = Step(StepKind.SET, "y = 1", (1,), 1)
 # (constructor, expected repr, a _replace change)
 CASES = [
     (lambda: CivilDate(2000, 1, 1), "CivilDate(year=2000, month=1, day=1)", {"day": 2}),
-    (
-        lambda: AnchorConfig(CivilDate(2000, 1, 1), Weekday.SATURDAY),
-        "AnchorConfig(reference_date=CivilDate(year=2000, month=1, day=1), reference_weekday=<Weekday.SATURDAY: 6>)",
-        {"reference_weekday": Weekday.SUNDAY},
-    ),
     (
         lambda: StepTrace((STEP,)),
         "StepTrace(steps=(Step(kind=<StepKind.SET: 'set'>, description='y = 1', operands=(1,), result=1),))",
@@ -199,7 +194,7 @@ def test_a_divisor_plan_stays_out_of_the_record():
     spec = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
     eval_divisor(spec, 37)
     assert "_run" not in spec._fields and spec._run
-    assert repr(spec) == CASES[4][1]
+    assert repr(spec) == CASES[IDS.index("DivisorSpec")][1]
     assert spec.__reduce__() == (DivisorSpec, fields_of(spec))
     stale = DivisorSpec(5, NEG, 1, -1, -1, 1, 1)
     object.__setattr__(stale, "_run", ())
@@ -216,7 +211,6 @@ def test_a_divisor_plan_stays_out_of_the_record():
 # Each record's fields, in order, as the repr strings above name them.
 FIELDS = {
     CivilDate: ("year", "month", "day"),
-    AnchorConfig: ("reference_date", "reference_weekday"),
     StepTrace: ("steps",),
     CostModel: ("name", "weights"),
     DivisorSpec: ("d", "convention", "coef_q", "coef_r", "coef_floor", "inner_q", "inner_r"),

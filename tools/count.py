@@ -22,6 +22,8 @@ The probes:
 - `sweep request`: one request of the bench's `sweep` workload for the
   date 1987-06-15: parse it, count its weekday, and answer `dow` without a
   trace for every method and pipeline;
+- `parse_date`, `daycount_weekday`: the request's first two layers alone,
+  that date parsed and its weekday counted;
 - `traced dow`: `dow` of that date with `fong` on the doomsday pipeline;
 - `to_jsonable`: that answer's trace written by `to_jsonable`;
 - `<id> body`: each registered method's function at y = 59;
@@ -63,6 +65,8 @@ def probes(ydow) -> dict:
     traced = ydow.dow(date, "fong", ydow.PipelineId.DOOMSDAY)
     calls = {
         "sweep request": (sweep_request, ydow, DATE, tuple(ydow.METHODS), tuple(ydow.PipelineId)),
+        "parse_date": (ydow.parse_date, DATE),
+        "daycount_weekday": (ydow.daycount_weekday, date),
         "traced dow": (ydow.dow, date, "fong", ydow.PipelineId.DOOMSDAY),
         "to_jsonable": (traced.trace.to_jsonable,),
     }
