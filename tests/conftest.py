@@ -2,6 +2,7 @@
 prints them in the terminal summary, where output capture can't hide them,
 and counts the Python frames a call runs."""
 
+import gc
 import sys
 
 ACCEPTANCE_LINES = []
@@ -26,9 +27,15 @@ def python_frames(func, *args, **kwargs) -> list[str]:
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    # a collection during the call would run `gc.callbacks` hooks (Hypothesis
+    # installs one), whose frames are not the call's own
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         func(*args, **kwargs)
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return names
