@@ -314,10 +314,12 @@ def load_cost_model(path: str | PathLike) -> CostModel:
 
     The path must be a str or an os.PathLike; anything else, an int above
     all, which `open` would take for a file descriptor, raises ValueError
-    before anything is opened.  Every way the file can be wrong (unreadable,
-    not JSON, nested too deeply to decode, not an object, unknown kind, a
-    weight that is not a nonnegative int, a name that is not a string)
-    raises ValueError.  A file without a name names the model after its
+    before anything is opened.  At most 1 MiB and one byte is read, so an
+    endless file such as /dev/zero cannot exhaust memory.  Every way the
+    file can be wrong (unreadable, larger than 1 MiB, not UTF-8, not JSON,
+    nested too deeply to decode, not an object, unknown kind, a weight that
+    is not a nonnegative int, a name that is not a string) raises
+    ValueError.  A file without a name names the model after its
     path.  The name, kinds and weights are checked by CostModel, as the file
     gives them; its message gains the path.
     """
@@ -326,11 +328,16 @@ def load_cost_model(path: str | PathLike) -> CostModel:
     shown = echo(path)
     if not isinstance(path, (str, PathLike)):
         raise ValueError(f"cost model path must be a str or os.PathLike, got {shown}")
+    limit = 1 << 20
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        with open(path, "rb") as f:
+            raw = f.read(limit + 1)
     except OSError as exc:
         raise ValueError(f"cannot read cost model {shown}: {exc.strerror or exc}") from None
+    if len(raw) > limit:
+        raise ValueError(f"cost model {shown} is larger than 1 MiB")
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"cost model {shown} is not valid JSON: {exc}") from None
     except RecursionError:  # json's decoder recurses once per nesting level

@@ -322,6 +322,29 @@ def test_a_failed_write_exits_74_with_one_error_line(argv):
     assert _one_error_line(proc.stderr) == f"error: cannot write output: {os.strerror(errno.ENOSPC)}"
 
 
+# The CLI reads one file, the --model cost model, and it reads at most 1 MiB
+# and one byte of it; it never reads stdin, and its other inputs are its
+# arguments.  Its writes are stdout and stderr: each command prints a fixed
+# number of rows (at most 100 years or the 14 methods) or one trace, and an
+# error line repeats a user value only through `echo`, which caps it (see
+# ERROR_LINE_CAP below).  So the model file is the one read or write that
+# could grow without bound, and this test checks that it stays bounded.
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero, an endless file")
+def test_an_endless_model_file_exits_2_with_one_error_line():
+    # the address-space cap is set in the child alone, so an unbounded read
+    # ends there, in a MemoryError, and not in the test run
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000)); "
+            "from ydow.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "cost", "--all", "--format", "csv", "--model", "/dev/zero"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert _one_error_line(proc.stderr) == "error: cost model '/dev/zero' is larger than 1 MiB"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

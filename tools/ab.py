@@ -1,30 +1,25 @@
-"""Time two ydow source trees against each other: set-up in fresh interpreters, the rest in one process.
+"""Time two ydow source trees against each other, each in fresh interpreters.
 
 Usage: python3 tools/ab.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding a `ydow` package, such as a checkout's
-`src`.  Each package is copied into one temporary directory, as
-`ydow_parent`, `ydow_change` and so on; ydow's modules import each other
-relatively, so each copy runs under its own name.
+`src`.
 
-Each row is timed in rounds, the side that runs first alternating between
-rounds.  For each row the script prints each side's median over the
-rounds, in microseconds, and the median and range of the per-round ratios
-change/parent, `c/p` (below 1, the change is faster).
+Each tree runs in child interpreters of its own, one at a time: the tree
+first on `sys.path`, PYTHONDONTWRITEBYTECODE=1, and PYTHONPYCACHEPREFIX
+pointing at an empty temporary directory, so every child compiles ydow from
+source, as a benchmark worker does in a fresh checkout.  The script runs 15
+rounds of one child per side, the side that runs first alternating between
+rounds.  A child times `import ydow` before it imports any module of this
+script's, runs every probe below once to warm the memos and compile every
+kernel, then runs the probes in turn 5 times over, the garbage collector off
+in each run, and prints each probe's best run as one JSON line.  A probe's
+5 runs so span the child's whole life, and a slowdown of the host shorter
+than that spoils only some of them.
 
-The first row, `cold import`, times `import ydow` in 15 rounds, each one
-fresh interpreter per side, started one at a time.  Each inherits the
-caller's environment, so with PYTHONDONTWRITEBYTECODE=1 every one compiles
-ydow from source, as a benchmark worker started in that environment does.
-
-Then each tree is imported twice into this process, in the order parent,
-change, change, parent, as two pairs: in the first the parent was loaded
-first, in the second the change was.  A probe can favour the tree loaded
-first (a `.steps re-read` row once read about 1.08 against whichever tree
-was loaded second), so each row prints the ratios of both pairs, and a
-claim holds only if it holds in both.  Each probe below is timed in 7
-rounds per pair; a side's time in a round is the best of 5 runs.  The two
-sides' medians are over both pairs' rounds.
+For each row, `cold import` first, then each probe, the script prints each
+side's median over the rounds, in microseconds, and the median and range of
+the per-round ratios change/parent, `c/p` (below 1, the change is faster).
 
 The probes, each a fixed amount of work:
 
@@ -47,28 +42,25 @@ The probes, each a fixed amount of work:
   once their `.steps` has been read.
 
 Stdlib only.  It starts no thread, and its child interpreters run one at a
-time.  It writes nothing but its temporary directory, which it removes.
-The garbage collector is off while an in-process run is timed.
+time.  It writes nothing but temporary directories, which it removes.
 """
 
 from __future__ import annotations
 
 import calendar
 import gc
-import importlib
+import json
+import os
 import random
-import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 
-ROUNDS = 7
+ROUNDS = 15
 REPEATS = 5
-COLD_IMPORTS = 15
 RE_READS = 20
 SIDES = ("parent", "change")
 SEED = 1
@@ -187,54 +179,47 @@ PROBES = {
 }
 
 
-def cold_import(tmp: Path, side: str) -> float:
-    """Seconds a fresh interpreter takes to import the side's package, timed inside it."""
-    code = f"import time; t = time.perf_counter(); import ydow_{side}; print(time.perf_counter() - t)"
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp, capture_output=True, text=True, check=True)
-    return float(done.stdout)
-
-
-def best_of(probe, ydow) -> float:
-    times = []
+def best_of(ydow) -> dict:
+    """Each probe's best of REPEATS runs, the runs of every probe interleaved, the garbage collector off in each."""
+    best = dict.fromkeys(PROBES, float("inf"))
     for _ in range(REPEATS):
-        gc.collect()
-        gc.disable()
-        try:
-            times.append(probe(ydow))
-        finally:
-            gc.enable()
-    return min(times)
+        for name, probe in PROBES.items():
+            gc.collect()
+            gc.disable()
+            try:
+                best[name] = min(best[name], probe(ydow))
+            finally:
+                gc.enable()
+    return best
 
 
-def load(named: list[tuple[str, Path]], tmp: Path) -> dict:
-    """Copy each named source tree's `ydow` into tmp as `ydow_<name>`, and import them in order."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(tmp))
-    packages = {}
-    for name, src in named:
-        shutil.copytree(src / "ydow", tmp / f"ydow_{name}", ignore=shutil.ignore_patterns("__pycache__"))
-        packages[name] = importlib.import_module(f"ydow_{name}")
-        importlib.import_module(f"ydow_{name}.divisor")
-    return packages
+def run_tree(src: Path, code: str) -> dict:
+    """The JSON line `code` prints in a fresh interpreter, src then this script's directory first on sys.path.
+
+    The child compiles ydow from source: it writes no bytecode, and looks
+    for bytecode only in an empty directory.
+    """
+    with tempfile.TemporaryDirectory(prefix="ydow-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        argv = [sys.executable, "-c", code, str(src.resolve()), str(Path(__file__).resolve().parent)]
+        done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout)
 
 
-def time_rounds(rounds: int, time_side) -> dict:
-    """Each side's `time_side(side)` per round, the side that runs first alternating between rounds."""
-    times = {side: [] for side in SIDES}
-    for i in range(rounds):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            times[side].append(time_side(side))
-    return times
+def child(cold_import: float) -> None:
+    """In a tree's child interpreter: print the seconds `import ydow` took and each probe's best of REPEATS runs."""
+    import ydow
+
+    for probe in PROBES.values():  # warm the memos and compile every kernel before any timing
+        probe(ydow)
+    print(json.dumps({"cold import": cold_import, **best_of(ydow)}))
 
 
-def report(name: str, *runs: dict) -> None:
-    """Print one row: each side's median over every run's rounds, then each run's change/parent ratios."""
-    parent, change = (statistics.median([t for run in runs for t in run[side]]) * 1e6 for side in SIDES)
-    cells = []
-    for run in runs:
-        ratios = [c / p for p, c in zip(run["parent"], run["change"])]
-        cells.append(f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
-    print(f"{name:22} {parent:10.1f} {change:10.1f}  " + "  ".join(f"{cell:22}" for cell in cells).rstrip())
+def report(name: str, parent: list[float], change: list[float]) -> None:
+    """Print one row: each side's median over the rounds, then the median and range of the per-round change/parent."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    print(f"{name:22} {statistics.median(parent) * 1e6:10.1f} {statistics.median(change) * 1e6:10.1f}  "
+          f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
 
 
 def main(argv: list[str]) -> int:
@@ -243,19 +228,16 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         print("each path must hold a ydow package", file=sys.stderr)
         return 2
-    parent, change = sources
-    with tempfile.TemporaryDirectory(prefix="ydow-ab-") as tmp:
-        # the pairs: (parent, change) loaded parent first, then change first
-        packages = load([("parent", parent), ("change", change), ("change2", change), ("parent2", parent)], Path(tmp))
-        pairs = ({"parent": packages["parent"], "change": packages["change"]},
-                 {"parent": packages["parent2"], "change": packages["change2"]})
-        print(f"{'probe':22} {'parent us':>10} {'change us':>10}  {'c/p, parent first':22}  c/p, change first")
-        report("cold import", time_rounds(COLD_IMPORTS, partial(cold_import, Path(tmp))))
-        for ydow in packages.values():  # warm the memos and compile every kernel before any timing
-            for probe in PROBES.values():
-                probe(ydow)
-        for name, probe in PROBES.items():
-            report(name, *[time_rounds(ROUNDS, lambda side: best_of(probe, pair[side])) for pair in pairs])
+    # the child times `import ydow` before it imports anything of this script's
+    code = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
+            "t = time.perf_counter(); import ydow; t = time.perf_counter() - t; import ab; ab.child(t)")
+    trees, runs = dict(zip(SIDES, sources)), {side: [] for side in SIDES}
+    for i in range(ROUNDS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_tree(trees[side], code))
+    print(f"{'probe':22} {'parent us':>10} {'change us':>10}  c/p")
+    for name in runs["parent"][0]:
+        report(name, *([run[name] for run in runs[side]] for side in SIDES))
     return 0
 
 

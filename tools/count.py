@@ -3,11 +3,17 @@
 Usage: python3 tools/count.py SRC [OTHER_SRC]
 
 Each argument is a directory holding a `ydow` package, such as a checkout's
-`src`.  Each package is copied into one temporary directory and imported
-under its own name, as `tools/ab.py` does.
+`src`.  Each tree is counted in a child interpreter of its own, started one
+at a time, as `tools/ab.py` runs one: the tree first on `sys.path` and an
+empty bytecode cache, so the child compiles ydow from source.
 
-Each probe is run once untraced, which fills the memos and compiles any
-divisor kernel it needs, then once under `sys.settrace`, with
+The opcode column rests on `sys.settrace` opcode events, which miss
+instructions on CPython 3.12 and later (3.12.1 counted 0 for
+`sweep request`, 3.13.0 0 for most probes).  There the script counts
+nothing: it exits 2 with one line on stderr.
+
+In the child, each probe is run once untraced, which fills the memos and
+compiles any divisor kernel it needs, then once under `sys.settrace`, with
 `f_trace_opcodes` set on every Python frame it enters.  The script prints,
 per tree, the bytecode instructions run in Python frames and the Python
 frames entered (a generator's resumption is an entry; a C function is
@@ -32,17 +38,17 @@ The probes:
   `reports` derived block does;
 - `verify_all`, `cost_report`: each warm, as a `reports` round ends.
 
-Stdlib only.  It runs in one process and starts no thread.  It writes
-nothing but its temporary directory, which it removes.
+Stdlib only.  It starts no thread, and its child interpreters run one at a
+time.  It writes nothing but temporary directories, which it removes.
 """
 
 from __future__ import annotations
 
+import json
 import sys
-import tempfile
 from pathlib import Path
 
-from ab import load
+from ab import run_tree
 
 DATE = "1987-06-15"
 DERIVED = (11, "pos")
@@ -104,20 +110,29 @@ def count(func, *args) -> tuple[int, int]:
     return opcodes, frames
 
 
+def child() -> None:
+    """In a tree's child interpreter: print each probe's opcodes and frames as one JSON line."""
+    import ydow
+
+    table = {}
+    for name, (func, *args) in probes(ydow).items():
+        func(*args)
+        table[name] = count(func, *args)
+    print(json.dumps(table))
+
+
 def main(argv: list[str]) -> int:
+    if sys.version_info >= (3, 12):
+        print(f"count.py: opcode counts hold only on CPython 3.10 and 3.11, not on {sys.version.split()[0]} "
+              f"({sys.executable})", file=sys.stderr)
+        return 2
     sources = [Path(arg) for arg in argv]
     if len(sources) not in (1, 2) or not all((src / "ydow" / "__init__.py").is_file() for src in sources):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         print("each path must hold a ydow package", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory(prefix="ydow-count-") as tmp:
-        tables = []
-        for ydow in load([(f"tree{i}", src) for i, src in enumerate(sources)], Path(tmp)).values():
-            table = {}
-            for name, (func, *args) in probes(ydow).items():
-                func(*args)
-                table[name] = count(func, *args)
-            tables.append(table)
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import count; count.child()"
+    tables = [run_tree(src, code) for src in sources]
     for i, src in enumerate(sources):
         print(f"tree {i}: {src}")
     print(f"{'probe':24}" + "".join(f" {f'opcodes {i}':>10} {f'frames {i}':>9}" for i in range(len(sources))))
