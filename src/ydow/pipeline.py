@@ -23,19 +23,21 @@ weekday of the year by month and day mod 7: row[month][day % 7] is
 pipelines.  The First-Sunday assembly
 `day - ((anchor date - doomsday) % 7 or 7)` is congruent to it mod 7,
 because `s or 7` is congruent to `s`, so the pipeline matters only to the
-trace.  A row is filled on first use from the memo's result for the year,
-so the method still enters the value path only through `residue`, and a
-warm call runs no Python frame but `dow`'s own.  The traced call finds its
-inputs by `year % 400` too: the century anchor, the month's anchor date and
-the method's result at `year % 400 % 100`, which is `year % 100`.  It runs
-no separate weekday formula: it emits the assembly's steps and takes the
+trace.  A row is filled on first use from the residue of one evaluation of
+the method at `year % 100`, which is not kept: the memo holds a result only
+for the callers that hand one out (see `registry`).  So the method still
+enters the value path only through `residue`, and a warm call runs no
+Python frame but `dow`'s own.  The traced call finds its inputs by
+`year % 400` too: the century anchor, the month's anchor date and the
+method's memoised result at `year % 400 % 100`, which is `year % 100`, whose
+trace formats the method's text once for every later answer.  It runs no
+separate weekday formula: it emits the assembly's steps and takes the
 weekday from the last step's result.  `DowResult` is an immutable NamedTuple.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 from ._record import member
@@ -96,10 +98,10 @@ class DowResult(NamedTuple):
     trace: StepTrace | None = None
 
 
-# DowResult's constructor in C, as `trace.new_step` is Step's: tuple.__new__
-# is what DowResult._make does underneath, skipping the NamedTuple's
-# Python-level __new__, about half the cost of the result.
-_new_result = partial(tuple.__new__, DowResult)
+# DowResult is built by tuple.__new__, what DowResult._make does
+# underneath, skipping the NamedTuple's Python-level __new__.  It is called
+# through this binding, not through a partial, which would add a call layer.
+_tuple_new = tuple.__new__
 
 
 def dow(
@@ -134,14 +136,14 @@ def dow(
         share = _cached_eval(func, y4 % 100)
         dd = _MONTH_ANCHORS[is_leap(y4)][date.month]
         trace, w = _build_trace(date, share, pipeline is PipelineId.DOOMSDAY, _CENTURY_ANCHORS[y4 // 100], dd)
-        return _new_result((date, _WEEKDAYS[w], method_id, pipeline, trace))
+        return _tuple_new(DowResult, (date, _WEEKDAYS[w], method_id, pipeline, trace))
 
     rows = (_memo_get(func) or _memo(func))[1]
     row = rows[y4]
     if row is None:
-        doomsday = (_CENTURY_ANCHORS[y4 // 100] + _cached_eval(func, y4 % 100).residue) % 7
+        doomsday = (_CENTURY_ANCHORS[y4 // 100] + func(y4 % 100).residue) % 7
         row = rows[y4] = _WEEKDAY_ROWS[7 * is_leap(y4) + doomsday]
-    return _new_result((date, row[date.month][date.day % 7], method_id, pipeline, None))
+    return _tuple_new(DowResult, (date, row[date.month][date.day % 7], method_id, pipeline, None))
 
 
 def _build_trace(date: CivilDate, share, doomsday: bool, anchor: int, dd: int) -> tuple[StepTrace, int]:

@@ -8,14 +8,16 @@ day-of-week pipeline) finds methods through it, so a method is fully
 described by one descriptor plus one function returning a ShareResult.
 
 What ydow computes of a method function is kept in one memo per function,
-in one bounded map keyed on the function object: the hundred results, the
-weekday row of each year mod 400 that `pipeline.dow` reads on its value
-path, the `VerificationReport` and the `CostReportRow` of the last model
-priced.
-Each part is filled on first use.  A repeated report is one lookup per
-method that builds no record, a swapped registry entry never shares an
-answer of the function it replaced, and `_cached_eval.cache_clear()`
-empties the map.
+in one bounded map keyed on the function object: the results `evaluate`
+and a traced `dow` hand out, the weekday row of each year mod 400 that
+`pipeline.dow` reads on its value path, the `VerificationReport` and the
+`CostReportRow` of the last model priced.  Each part is filled on first
+use.  The value path and the two reports keep no `ShareResult`: they
+evaluate the function and keep only what they build, a weekday row or a
+record, since no sweep or report reads a result again.  A repeated report
+is one lookup per method that builds no record, a swapped registry entry
+never shares an answer of the function it replaced, and
+`_cached_eval.cache_clear()` empties the map.
 
 The descriptor and the report rows (`VerificationFailure`,
 `VerificationReport`, `CostReportRow`) are immutable records (see
@@ -105,12 +107,13 @@ def get_method(method_id: str) -> MethodDescriptor:
         raise UnknownMethodError(f"unknown method {echo(method_id, 60)} (known: {known})") from None
 
 
-# The one memo map: method function -> [results by y, weekday rows (each
-# one of `pipeline`'s fourteen shared rows) by year % 400,
-# VerificationReport, ((method_id, model), CostReportRow) of the last model
-# priced], each None until first used.  Keyed on the function object
-# itself, so a registry entry swapped out (e.g. by a test installing a
-# corrupted variant) never gets a stale answer of the function it replaced.
+# The one memo map: method function -> [results by y that `evaluate` or a
+# traced `dow` handed out, weekday rows (each one of `pipeline`'s fourteen
+# shared rows) by year % 400, VerificationReport, ((method_id, model),
+# CostReportRow) of the last model priced], each None until first used.
+# Keyed on the function object itself, so a registry entry swapped out (e.g.
+# by a test installing a corrupted variant) never gets a stale answer of the
+# function it replaced.
 # Callers look a memo up with `_MEMOS.get(func) or _memo(func)`, so a hit
 # makes no Python-level call.  Past _MAX_MEMOS functions the oldest memo is
 # dropped, so functions swapped in and out cannot grow it.
@@ -128,7 +131,7 @@ def _memo(func: Callable[[int], ShareResult]) -> list:
 
 def _cached_eval(func: Callable[[int], ShareResult], y: int) -> ShareResult:
     # y indexes a list, so it must already be in [0, 99]: evaluate checks
-    # it, and the other callers make it (range(100), year % 400 % 100).
+    # it, and the traced dow makes it (year % 400 % 100).
     results = (_MEMOS.get(func) or _memo(func))[0]
     share = results[y]
     if share is None:
@@ -182,7 +185,7 @@ def verify_method(method_id: str) -> VerificationReport:
         failures = []
         for y in range(100):
             expected = year_share(y)
-            got = _cached_eval(func, y).residue
+            got = func(y).residue
             if got != expected:
                 failures.append(VerificationFailure(y, expected, got))
         report = memo[2] = VerificationReport(method_id, 100, tuple(failures))
@@ -223,7 +226,7 @@ def _cost_row(method_id: str, func: Callable[[int], ShareResult], model: CostMod
     costs = []
     magnitude = 0
     for y in range(100):
-        trace = _cached_eval(func, y).trace
+        trace = func(y).trace
         costs.append(model.cost(trace))
         magnitude = max(magnitude, trace.max_magnitude())
     try:

@@ -660,7 +660,7 @@ def test_compute_and_explain_json_equal_the_api(mid, y):
     assert cli_json("explain", "--year", str(y), "--method", mid, "--json") == (0, want)
 
 
-@given(st.sampled_from(METHOD_IDS))
+@pytest.mark.parametrize("mid", METHOD_IDS)
 def test_table_and_verify_json_equal_the_api(mid):
     rows = [{"y": y, "raw": evaluate(mid, y).raw, "residue": evaluate(mid, y).residue} for y in range(100)]
     assert cli_json("table", "--method", mid, "--format", "json") == (0, rows)
@@ -711,7 +711,8 @@ def test_cost_json_equals_the_api(mid, weights, name):
     assert got == (0, {"model": model.name, "rows": [r.to_json_dict() for r in rows]})
 
 
-@given(st.integers(2, 28), st.sampled_from(list(SignConvention)))
+@pytest.mark.parametrize("sign", list(SignConvention), ids=lambda sign: sign.value)
+@pytest.mark.parametrize("d", range(2, 29))
 def test_derive_json_equals_the_api(d, sign):
     try:
         code, want = 0, derive_divisor_formula(d, sign).to_json_dict()

@@ -301,6 +301,20 @@ def test_swapped_method_gets_its_own_weekday_rows(monkeypatch):
             assert now == was, cd
 
 
+def test_the_value_path_keeps_its_weekday_rows_and_no_result():
+    # a row needs only the residue, so the method's result is not kept
+    registry._cached_eval.cache_clear()
+    dates = [CivilDate(year, 6, 15) for year in range(2000, 2400)]
+    for cd in dates:
+        for mid in METHODS:
+            for pl in PipelineId:
+                assert dow(cd, mid, pl, with_trace=False).weekday is daycount_weekday(cd), (cd, mid, pl)
+    assert set(registry._MEMOS) == {desc.func for desc in METHODS.values()}
+    for memo in registry._MEMOS.values():
+        assert memo[0] == [None] * 100
+        assert None not in memo[1] and len(memo[1]) == 400
+
+
 def test_weekday_rows_stay_bounded(monkeypatch):
     bound = registry._MAX_MEMOS
     desc = METHODS["odd11"]

@@ -267,6 +267,28 @@ def test_one_memo_per_function(monkeypatch):
     assert all(new is not old for new, old in zip(again, reports))  # built again, not kept
 
 
+def test_reports_keep_their_records_and_no_result():
+    # verify_all and cost_report evaluate each method over y = 0..99 and keep only the record they build
+    registry._cached_eval.cache_clear()
+    reports, rows = verify_all(), cost_report()
+    assert set(registry._MEMOS) == {desc.func for desc in METHODS.values()}
+    for desc, report, row in zip(METHODS.values(), reports, rows):
+        memo = registry._MEMOS[desc.func]
+        assert memo[0] == [None] * 100
+        assert memo[2] is report and memo[3][1] is row
+        assert memo[3][0] == (desc.id, DEFAULT_COST_MODEL)
+
+
+def test_evaluate_and_a_traced_dow_keep_the_results_they_hand_out():
+    # a traced dow shows its method's steps from the memoised result, which formats their text once
+    registry._cached_eval.cache_clear()
+    share = evaluate("wang", 37)
+    trace = dow(CivilDate(1959, 6, 15), "wang").trace
+    kept = registry._MEMOS[METHODS["wang"].func][0]
+    assert kept[37] is share and kept.count(None) == 98
+    assert trace.steps[:len(kept[59].trace)] == kept[59].trace.steps
+
+
 def test_warm_cost_report_does_not_compare_the_same_model(monkeypatch):
     rows = cost_report()
 

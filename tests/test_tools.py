@@ -23,13 +23,17 @@ def test_count_prints_one_row_per_probe_and_each_body_s_frames():
     lines = proc.stdout.splitlines()
     assert lines[0] == "tree 0: src"
     assert lines[1].split() == ["probe", "opcodes", "0", "frames", "0"]
-    rows = {name: int(frames) for name, _, frames in (line.rsplit(maxsplit=2) for line in lines[2:])}
+    rows = {name: int(frames) for name, _, frames in (line.rsplit(maxsplit=2) for line in lines[2:-2])}
     bodies = [f"{mid} body" for mid in METHODS]
     assert list(rows) == ["sweep request", "parse_date", "daycount_weekday", "traced dow", "to_jsonable", *bodies,
                           "derive_divisor_formula", "derived block", "verify_all", "cost_report"]
     for mid, desc in METHODS.items():
         desc.func(59)  # as count.py does: a derived spec takes its kernel on its first evaluation
         assert rows[f"{mid} body"] == len(python_frames(desc.func, 59)), mid
+    kept = dict(line.rsplit(maxsplit=1) for line in lines[-2:])
+    assert list(kept) == ["kept sweep", "kept reports"]
+    # the memos keep no result of a sweep or a report: about 0.07 MB each on 3.11, 1.37 MB when they kept 1,400
+    assert all(0 < int(n) < 500_000 for n in kept.values()), kept
 
 
 @pytest.mark.skipif(sys.version_info < (3, 12), reason="3.10 and 3.11 fire every opcode event")

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import ydow
-from ydow import registry
 from ydow.arith import SignConvention
 from ydow.dates import CivilDate
 from ydow.divisor import BUILTIN_DIVISOR_SPECS, NotRepresentableError, derive_divisor_formula, eval_divisor
@@ -284,16 +283,26 @@ def test_a_traced_dow_reads_as_its_formatted_steps():
                 assert dow(date, method_id, pipeline).trace == StepTrace(steps)
 
 
-def test_walkers_and_reports_leave_a_trace_unformatted():
+def test_walkers_and_reports_leave_a_trace_unformatted(monkeypatch):
     # they read the recorded steps; to_jsonable formats the texts it writes but keeps none
     for body, y in every_body():
         trace = body(y).trace
         trace.replay(), DEFAULT_COST_MODEL.cost(trace), trace.max_magnitude(), len(trace), trace.to_jsonable()
         assert unformatted(trace), (body, y)
-    registry._cached_eval.cache_clear()
+    # the reports keep no result, so each method is wrapped to record the traces they evaluate
+    traces = []
+
+    def recording(func):
+        def body(y):
+            share = func(y)
+            traces.append(share.trace)
+            return share
+        return body
+
+    for mid, desc in METHODS.items():
+        monkeypatch.setitem(METHODS, mid, desc._replace(func=recording(desc.func)))
     verify_all(), cost_report()
-    traces = [share.trace for memo in registry._MEMOS.values() for share in memo[0]]
-    assert len(traces) == 1400 and all(map(unformatted, traces))
+    assert len(traces) == 2800 and all(map(unformatted, traces))
 
 
 def test_reading_a_trace_never_replaces_its_recorded_steps():

@@ -38,14 +38,27 @@ The probes:
   `reports` derived block does;
 - `verify_all`, `cost_report`: each warm, as a `reports` round ends.
 
+After the table, one `kept` line per measurement gives, per tree, the bytes
+a cold workload leaves allocated: what `tracemalloc` still counts once the
+workload has returned and `gc.collect()` has run, so what ydow's memos and
+tables keep.  Each measurement runs in a child interpreter of its own, so
+its memos start empty.  Like the counts, the bytes do not depend on the
+host's speed.  The measurements:
+
+- `kept sweep`: `dow` without a trace for one date per year mod 400
+  (June 15 of 2000-2399) x every method and pipeline;
+- `kept reports`: `verify_all()`, then `cost_report()`.
+
 Stdlib only.  It starts no thread, and its child interpreters run one at a
 time.  It writes nothing but temporary directories, which it removes.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 from ab import run_tree
@@ -121,6 +134,34 @@ def child() -> None:
     print(json.dumps(table))
 
 
+def kept_sweep(ydow) -> None:
+    for year in range(2000, 2400):
+        date = ydow.CivilDate(year, 6, 15)
+        for mid in ydow.METHODS:
+            for pl in ydow.PipelineId:
+                ydow.dow(date, mid, pl, with_trace=False)
+
+
+def kept_reports(ydow) -> None:
+    ydow.verify_all(), ydow.cost_report()
+
+
+KEPT = {"kept sweep": kept_sweep, "kept reports": kept_reports}
+
+
+def kept_child(name: str) -> None:
+    """In a fresh child interpreter: print the bytes one KEPT measurement leaves allocated as one JSON line."""
+    import ydow
+
+    gc.collect()
+    tracemalloc.start()
+    KEPT[name](ydow)
+    gc.collect()
+    kept = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    print(json.dumps({name: kept}))
+
+
 def main(argv: list[str]) -> int:
     if sys.version_info >= (3, 12):
         print(f"count.py: opcode counts hold only on CPython 3.10 and 3.11, not on {sys.version.split()[0]} "
@@ -133,11 +174,15 @@ def main(argv: list[str]) -> int:
         return 2
     code = "import sys; sys.path[:0] = sys.argv[1:]; import count; count.child()"
     tables = [run_tree(src, code) for src in sources]
+    kept = {name: [run_tree(src, f"import sys; sys.path[:0] = sys.argv[1:]; import count; count.kept_child({name!r})")
+                   for src in sources] for name in KEPT}
     for i, src in enumerate(sources):
         print(f"tree {i}: {src}")
     print(f"{'probe':24}" + "".join(f" {f'opcodes {i}':>10} {f'frames {i}':>9}" for i in range(len(sources))))
     for name in tables[0]:
         print(f"{name:24}" + "".join(f" {table[name][0]:10d} {table[name][1]:9d}" for table in tables))
+    for name, lines in kept.items():
+        print(f"{name:24}" + "".join(f" {line[name]:20d}" for line in lines))
     return 0
 
 
