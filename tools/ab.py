@@ -11,35 +11,46 @@ pointing at an empty temporary directory, so every child compiles ydow from
 source, as a benchmark worker does in a fresh checkout.  The script runs 15
 rounds of one child per side, the side that runs first alternating between
 rounds.  A child times `import ydow` before it imports any module of this
-script's, runs every probe below once to warm the memos and compile every
-kernel, then runs the probes in turn 5 times over, the garbage collector off
-in each run, and prints each probe's best run as one JSON line.  A probe's
-5 runs so span the child's whole life, and a slowdown of the host shorter
-than that spoils only some of them.
+script's, runs every row of the probe table below once to warm the memos and
+compile every kernel, then times the rows in turn 5 times over, the garbage
+collector off in each run, and prints each row's best run as one JSON line.
+A row's 5 runs so span the child's whole life, and a slowdown of the host
+shorter than that spoils only some of them.
 
 For each row, `cold import` first, then each probe, the script prints each
 side's median over the rounds, in microseconds, and the median and range of
 the per-round ratios change/parent, `c/p` (below 1, the change is faster).
+`cold import` rests on one `import ydow` per child, so it is the noisiest
+row: a claim about import time rests on the bench's `setup_s`, not on it.
 
-The probes, each a fixed amount of work:
+The probe table, `probes(ydow)`, is shared with `tools/count.py`, so a count
+and a clock name the same call.  Each row is a `prepare()` function: it does
+the row's set-up, untimed, and returns a function and its argument sets.  A
+row's clock holds one call of the function per argument set, in one loop
+whose own cost is the same for both trees; `count.py` counts the call on the
+first set.  The short rows repeat their sets, so that each row's clock runs
+for about 0.3 ms or more.  The rows call `bench/workloads.py`, imported
+after `ydow` so that it binds the tree's package, and draw their dates as
+the bench's `--seed 1` does:
 
-- `sweep`: 256 sweep requests, each parsing a date, counting its weekday
-  and answering `dow` without a trace for every method and pipeline.  The
-  dates are drawn as `bench/workloads.py` draws them, from a seeded
-  generator: a year in 1583-2599, a month, then a day of that month;
-- `method blocks`: every method over y = 0..99, each result priced,
-  replayed and measured, as a `reports` method block does;
-- `derived blocks`: 12 derived formulas, each derived once and evaluated
-  over y = 0..99;
-- `explain`: a traced `dow` for 4 dates x every method and pipeline, each
-  trace written by `to_jsonable` and priced;
-- `.steps first read`, `.steps re-read`, `to_jsonable`: over 1,400 fresh
-  method traces (every method, y = 0..99), built before the clock starts.
-  `.steps re-read` reads each trace's `.steps` 20 times once it has been
-  read: one re-read of the 1,400 (about 110 us on 2 vCPUs) spread about
-  6 % between runs;
-- `walkers after .steps`: replay, cost and max_magnitude over those traces
-  once their `.steps` has been read.
+- `sweep request`, `parse_date`, `daycount_weekday`: the first 256 requests
+  of the `sweep` workload, each served by `run_sweep`, then their dates
+  parsed, then their weekdays counted, 4 times over;
+- `traced dow`, `to_jsonable`, `explain request`: a traced `dow` for the
+  first 4 dates x every method and pipeline, each answer's trace written by
+  `to_jsonable`, and those 4 dates served by `run_explain`;
+- `<id> body`: each method's function over y = 0..99, 10 times over;
+- `method block`, `derive_divisor_formula`, `derived block`: `run_reports`
+  over every method's block, then every derivable (divisor, sign) pair
+  derived, and served as a derived block;
+- `verify_all`, `cost_report`: each warm, as a `reports` round ends, 100
+  times;
+- `.steps first read`, `.steps re-read`, `method to_jsonable`,
+  `walkers after .steps`: over 1,400 fresh method traces (every method,
+  y = 0..99), built in set-up.  `.steps re-read` reads each trace's `.steps`
+  20 times once it has been read (one re-read of the 1,400 spread about 6 %
+  between runs); the walkers are replay, cost and max_magnitude, once
+  `.steps` has been read.
 
 Stdlib only.  It starts no thread, and its child interpreters run one at a
 time.  It writes nothing but temporary directories, which it removes.
@@ -47,7 +58,6 @@ time.  It writes nothing but temporary directories, which it removes.
 
 from __future__ import annotations
 
-import calendar
 import gc
 import json
 import os
@@ -56,6 +66,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 
@@ -64,133 +75,86 @@ REPEATS = 5
 RE_READS = 20
 SIDES = ("parent", "change")
 SEED = 1
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def draw_dates(rng: random.Random, n: int) -> tuple[str, ...]:
-    """n ISO dates drawn in the order bench/workloads.py's `random_date` draws them."""
-    dates = []
-    for _ in range(n):
-        y = rng.randint(1583, 2599)
-        m = rng.randint(1, 12)
-        dates.append(f"{y:04d}-{m:02d}-{rng.randint(1, calendar.monthrange(y, m)[1]):02d}")
-    return tuple(dates)
+def trees(argv: list[str], doc: str, counts: tuple[int, ...]) -> list[Path]:
+    """The source trees argv names; exit 2 with doc's usage line on stderr unless they hold ydow and number `counts`."""
+    sources = [Path(arg) for arg in argv]
+    if len(sources) not in counts or not all((src / "ydow" / "__init__.py").is_file() for src in sources):
+        print(doc.split("\n\n")[1], file=sys.stderr)
+        print("each path must hold a ydow package", file=sys.stderr)
+        raise SystemExit(2)
+    return sources
 
 
-DATES = draw_dates(random.Random(SEED), 256)
-DERIVED = ((3, "pos"), (5, "neg"), (7, "pos"), (9, "neg"), (11, "pos"), (13, "neg"),
-           (15, "pos"), (17, "neg"), (19, "pos"), (21, "neg"), (23, "pos"), (27, "neg"))
+def load_workloads(ydow):
+    """bench/workloads.py, imported after `ydow`, so bound to the tree under test; exit 1 if it is not.
+
+    In a child of run_tree's, the tree under test is sys.argv[1].
+    """
+    sys.path.append(str(BENCH))
+    import workloads
+
+    if workloads.dow is not ydow.dow or Path(ydow.__file__).resolve().parent.parent != Path(sys.argv[1]):
+        sys.exit(f"bench/workloads.py bound the ydow in {Path(ydow.__file__).parent}, not the tree {sys.argv[1]}")
+    return workloads
 
 
-def fresh_traces(ydow) -> list:
-    return [desc.func(y).trace for desc in ydow.METHODS.values() for y in range(100)]
+def probes(ydow) -> dict:
+    """The probe table: each row's name and its prepare(), which returns a function and its argument sets."""
+    w = load_workloads(ydow)
+    texts = w.date_requests(random.Random(SEED), 256)
+    requests = [(text,) for text in texts]
+    answers = [(w.parse_date(text), mid, pl) for text in texts[:4] for mid in w.METHOD_IDS for pl in w.PIPELINES]
 
+    def fixed(func, sets):
+        return lambda: (func, sets)
 
-def sweep(ydow) -> float:
-    pipelines, ids = tuple(ydow.PipelineId), ydow.method_ids()
-    start = perf_counter()
-    for text in DATES:
-        date = ydow.parse_date(text)
-        ydow.daycount_weekday(date)
-        for mid in ids:
-            for pl in pipelines:
-                ydow.dow(date, mid, pl, with_trace=False)
-    return perf_counter() - start
+    def fresh_traces():
+        return [(w.method_func(mid)(y).trace,) for mid in w.METHOD_IDS for y in range(100)]
 
-
-def method_blocks(ydow) -> float:
-    funcs, share, cost = [d.func for d in ydow.METHODS.values()], ydow.year_share, ydow.DEFAULT_COST_MODEL.cost
-    start = perf_counter()
-    for func in funcs:
-        for y in range(100):
-            res = func(y)
-            trace = res.trace
-            share(y) == res.residue, cost(trace), trace.replay(), trace.max_magnitude()
-    return perf_counter() - start
-
-
-def derived_blocks(ydow) -> float:
-    derive, evaluate = ydow.derive_divisor_formula, ydow.divisor.eval_divisor
-    start = perf_counter()
-    for d, sign in DERIVED:
-        spec = derive(d, sign)
-        for y in range(100):
-            evaluate(spec, y)
-    return perf_counter() - start
-
-
-def explain(ydow) -> float:
-    pipelines, ids, cost = tuple(ydow.PipelineId), ydow.method_ids(), ydow.DEFAULT_COST_MODEL.cost
-    dates = [ydow.parse_date(text) for text in DATES[:4]]
-    start = perf_counter()
-    for date in dates:
-        for mid in ids:
-            for pl in pipelines:
-                trace = ydow.dow(date, mid, pl).trace
-                trace.to_jsonable(), cost(trace)
-    return perf_counter() - start
-
-
-def first_read(ydow) -> float:
-    traces = fresh_traces(ydow)
-    start = perf_counter()
-    for trace in traces:
-        trace.steps
-    return perf_counter() - start
-
-
-def re_read(ydow) -> float:
-    traces = fresh_traces(ydow)
-    for trace in traces:
-        trace.steps
-    start = perf_counter()
-    for _ in range(RE_READS):
-        for trace in traces:
+    def read_traces():
+        traces = fresh_traces()
+        for (trace,) in traces:
             trace.steps
-    return perf_counter() - start
+        return traces
+
+    def walk(trace):
+        return w.replay(trace), w.price(trace), w.max_magnitude(trace)
+
+    steps = attrgetter("steps")
+    return {
+        "sweep request": fixed(w.run_sweep, requests),
+        "parse_date": fixed(w.parse_date, requests),
+        "daycount_weekday": fixed(w.daycount_weekday, [(w.parse_date(text),) for text in texts] * 4),
+        "traced dow": fixed(w.dow, answers),
+        "to_jsonable": fixed(w.to_jsonable, [(w.dow(*args).trace,) for args in answers]),
+        "explain request": fixed(w.run_explain, requests[:4]),
+        **{f"{mid} body": fixed(w.method_func(mid), [(y,) for y in range(100)] * 10) for mid in w.METHOD_IDS},
+        "method block": fixed(w.run_reports, [(["method", mid],) for mid in w.METHOD_IDS]),
+        "derive_divisor_formula": fixed(w.derive_divisor_formula, w.DERIVABLE),
+        "derived block": fixed(w.run_reports, [(["derived", d, s],) for d, s in w.DERIVABLE]),
+        "verify_all": fixed(w.verify_all, [()] * 100),
+        "cost_report": fixed(w.cost_report, [()] * 100),
+        ".steps first read": lambda: (steps, fresh_traces()),
+        ".steps re-read": lambda: (steps, read_traces() * RE_READS),
+        "method to_jsonable": lambda: (w.to_jsonable, fresh_traces()),
+        "walkers after .steps": lambda: (walk, read_traces()),
+    }
 
 
-def to_jsonable(ydow) -> float:
-    traces = fresh_traces(ydow)
-    start = perf_counter()
-    for trace in traces:
-        trace.to_jsonable()
-    return perf_counter() - start
-
-
-def walkers_after_read(ydow) -> float:
-    traces, cost = fresh_traces(ydow), ydow.DEFAULT_COST_MODEL.cost
-    for trace in traces:
-        trace.steps
-    start = perf_counter()
-    for trace in traces:
-        trace.replay(), cost(trace), trace.max_magnitude()
-    return perf_counter() - start
-
-
-PROBES = {
-    "sweep": sweep,
-    "method blocks": method_blocks,
-    "derived blocks": derived_blocks,
-    "explain": explain,
-    ".steps first read": first_read,
-    ".steps re-read": re_read,
-    "to_jsonable": to_jsonable,
-    "walkers after .steps": walkers_after_read,
-}
-
-
-def best_of(ydow) -> dict:
-    """Each probe's best of REPEATS runs, the runs of every probe interleaved, the garbage collector off in each."""
-    best = dict.fromkeys(PROBES, float("inf"))
-    for _ in range(REPEATS):
-        for name, probe in PROBES.items():
-            gc.collect()
-            gc.disable()
-            try:
-                best[name] = min(best[name], probe(ydow))
-            finally:
-                gc.enable()
-    return best
+def clock(func, sets) -> float:
+    """The seconds of one call of func per argument set, the garbage collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = perf_counter()
+        for args in sets:
+            func(*args)
+        return perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def run_tree(src: Path, code: str) -> dict:
@@ -207,12 +171,17 @@ def run_tree(src: Path, code: str) -> dict:
 
 
 def child(cold_import: float) -> None:
-    """In a tree's child interpreter: print the seconds `import ydow` took and each probe's best of REPEATS runs."""
+    """In a tree's child interpreter: print the seconds `import ydow` took and each row's best of REPEATS runs."""
     import ydow
 
-    for probe in PROBES.values():  # warm the memos and compile every kernel before any timing
-        probe(ydow)
-    print(json.dumps({"cold import": cold_import, **best_of(ydow)}))
+    rows = probes(ydow)
+    for prepare in rows.values():  # warm the memos and compile every kernel before any timing
+        clock(*prepare())
+    best = dict.fromkeys(rows, float("inf"))
+    for _ in range(REPEATS):
+        for name, prepare in rows.items():
+            best[name] = min(best[name], clock(*prepare()))
+    print(json.dumps({"cold import": cold_import, **best}))
 
 
 def report(name: str, parent: list[float], change: list[float]) -> None:
@@ -223,18 +192,14 @@ def report(name: str, parent: list[float], change: list[float]) -> None:
 
 
 def main(argv: list[str]) -> int:
-    sources = [Path(arg) for arg in argv]
-    if len(sources) != 2 or not all((src / "ydow" / "__init__.py").is_file() for src in sources):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        print("each path must hold a ydow package", file=sys.stderr)
-        return 2
+    sources = trees(argv, __doc__, (2,))
     # the child times `import ydow` before it imports anything of this script's
     code = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
             "t = time.perf_counter(); import ydow; t = time.perf_counter() - t; import ab; ab.child(t)")
-    trees, runs = dict(zip(SIDES, sources)), {side: [] for side in SIDES}
+    sides, runs = dict(zip(SIDES, sources)), {side: [] for side in SIDES}
     for i in range(ROUNDS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_tree(trees[side], code))
+            runs[side].append(run_tree(sides[side], code))
     print(f"{'probe':22} {'parent us':>10} {'change us':>10}  c/p")
     for name in runs["parent"][0]:
         report(name, *([run[name] for run in runs[side]] for side in SIDES))

@@ -12,31 +12,20 @@ instructions on CPython 3.12 and later (3.12.1 counted 0 for
 `sweep request`, 3.13.0 0 for most probes).  There the script counts
 nothing: it exits 2 with one line on stderr.
 
-In the child, each probe is run once untraced, which fills the memos and
-compiles any divisor kernel it needs, then once under `sys.settrace`, with
+The rows are `tools/ab.py`'s probe table, `ab.probes`, without its
+`cold import`, so a count and a clock name the same call.  In the child,
+each row's `prepare()` is run and its function called once untraced on the
+first argument set, which fills the memos and compiles any divisor kernel it
+needs.  Then `prepare()` runs again, so a row that reads fresh traces reads
+fresh ones, and that call is made once more under `sys.settrace`, with
 `f_trace_opcodes` set on every Python frame it enters.  The script prints,
 per tree, the bytecode instructions run in Python frames and the Python
 frames entered (a generator's resumption is an entry; a C function is
 neither).  The counts do not depend on the host's speed: two runs of one
-tree print the same numbers.  A probe that is one call counts that call
-alone; a probe that is several calls (`sweep request`, `derived block`)
-counts the function here that makes them too, which is the same for
+tree print the same numbers.  A row whose function is the bench's own
+(`sweep request`, `method block`) or a helper of `ab.py`'s
+(`walkers after .steps`) counts that function too, which is the same for
 every tree.
-
-The probes:
-
-- `sweep request`: one request of the bench's `sweep` workload for the
-  date 1987-06-15: parse it, count its weekday, and answer `dow` without a
-  trace for every method and pipeline;
-- `parse_date`, `daycount_weekday`: the request's first two layers alone,
-  that date parsed and its weekday counted;
-- `traced dow`: `dow` of that date with `fong` on the doomsday pipeline;
-- `to_jsonable`: that answer's trace written by `to_jsonable`;
-- `<id> body`: each registered method's function at y = 59;
-- `derive_divisor_formula`: the formula for divisor 11, positive share;
-- `derived block`: that formula derived and evaluated over y = 0..99, as a
-  `reports` derived block does;
-- `verify_all`, `cost_report`: each warm, as a `reports` round ends.
 
 After the table, one `kept` line per measurement gives, per tree, the bytes
 a cold workload leaves allocated: what `tracemalloc` still counts once the
@@ -59,44 +48,8 @@ import gc
 import json
 import sys
 import tracemalloc
-from pathlib import Path
 
-from ab import run_tree
-
-DATE = "1987-06-15"
-DERIVED = (11, "pos")
-
-
-def sweep_request(ydow, text: str, ids: tuple, pipelines: tuple) -> list:
-    date = ydow.parse_date(text)
-    ydow.daycount_weekday(date)
-    return [ydow.dow(date, mid, pl, with_trace=False) for mid in ids for pl in pipelines]
-
-
-def derived_block(ydow, d: int, sign: str) -> list:
-    spec = ydow.derive_divisor_formula(d, sign)
-    return [ydow.divisor.eval_divisor(spec, y) for y in range(100)]
-
-
-def probes(ydow) -> dict:
-    """Each probe's name and its call, as a function and its arguments."""
-    date = ydow.parse_date(DATE)
-    traced = ydow.dow(date, "fong", ydow.PipelineId.DOOMSDAY)
-    calls = {
-        "sweep request": (sweep_request, ydow, DATE, tuple(ydow.METHODS), tuple(ydow.PipelineId)),
-        "parse_date": (ydow.parse_date, DATE),
-        "daycount_weekday": (ydow.daycount_weekday, date),
-        "traced dow": (ydow.dow, date, "fong", ydow.PipelineId.DOOMSDAY),
-        "to_jsonable": (traced.trace.to_jsonable,),
-    }
-    calls.update({f"{mid} body": (desc.func, 59) for mid, desc in ydow.METHODS.items()})
-    calls.update({
-        "derive_divisor_formula": (ydow.derive_divisor_formula, *DERIVED),
-        "derived block": (derived_block, ydow, *DERIVED),
-        "verify_all": (ydow.verify_all,),
-        "cost_report": (ydow.cost_report,),
-    })
-    return calls
+from ab import probes, run_tree, trees
 
 
 def count(func, *args) -> tuple[int, int]:
@@ -128,9 +81,11 @@ def child() -> None:
     import ydow
 
     table = {}
-    for name, (func, *args) in probes(ydow).items():
-        func(*args)
-        table[name] = count(func, *args)
+    for name, prepare in probes(ydow).items():
+        func, sets = prepare()
+        func(*sets[0])
+        func, sets = prepare()
+        table[name] = count(func, *sets[0])
     print(json.dumps(table))
 
 
@@ -163,14 +118,10 @@ def kept_child(name: str) -> None:
 
 
 def main(argv: list[str]) -> int:
+    sources = trees(argv, __doc__, (1, 2))
     if sys.version_info >= (3, 12):
         print(f"count.py: opcode counts hold only on CPython 3.10 and 3.11, not on {sys.version.split()[0]} "
               f"({sys.executable})", file=sys.stderr)
-        return 2
-    sources = [Path(arg) for arg in argv]
-    if len(sources) not in (1, 2) or not all((src / "ydow" / "__init__.py").is_file() for src in sources):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        print("each path must hold a ydow package", file=sys.stderr)
         return 2
     code = "import sys; sys.path[:0] = sys.argv[1:]; import count; count.child()"
     tables = [run_tree(src, code) for src in sources]
