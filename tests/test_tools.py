@@ -60,6 +60,18 @@ def test_count_counts_each_tree_s_own_ydow(tmp_path):
     assert rows["parity3 body"][0] == rows["parity3 body"][2], rows["parity3 body"]
 
 
+def test_an_ab_child_prints_each_probe_row_in_order(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import ab
+
+    best = ab.run_tree(ROOT / "src", "ab.child()")
+    assert list(best) == ["sweep request", "parse_date", "daycount_weekday", "traced dow", "to_jsonable",
+                          "explain request", *(f"{mid} body" for mid in METHODS), "method block",
+                          "derive_divisor_formula", "derived block", "verify_all", "cost_report", ".steps first read",
+                          ".steps re-read", "method to_jsonable", "walkers after .steps"]
+    assert all(seconds > 0 for seconds in best.values()), best
+
+
 @pytest.mark.parametrize("tool", ["ab.py", "count.py"])
 def test_a_path_without_ydow_exits_2_with_the_usage_line(tool, tmp_path):
     proc = run_tool(tool, "src", str(tmp_path))

@@ -10,18 +10,16 @@ first on `sys.path`, PYTHONDONTWRITEBYTECODE=1, and PYTHONPYCACHEPREFIX
 pointing at an empty temporary directory, so every child compiles ydow from
 source, as a benchmark worker does in a fresh checkout.  The script runs 15
 rounds of one child per side, the side that runs first alternating between
-rounds.  A child times `import ydow` before it imports any module of this
-script's, runs every row of the probe table below once to warm the memos and
-compile every kernel, then times the rows in turn 5 times over, the garbage
-collector off in each run, and prints each row's best run as one JSON line.
-A row's 5 runs so span the child's whole life, and a slowdown of the host
-shorter than that spoils only some of them.
+rounds.  A child imports ydow, runs every row of the probe table below once
+to warm the memos and compile every kernel, then times the rows in turn 5
+times over, the garbage collector off in each run, and prints each row's
+best run as one JSON line.  A row's 5 runs so span the child's whole life,
+and a slowdown of the host shorter than that spoils only some of them.
 
-For each row, `cold import` first, then each probe, the script prints each
+Every printed number is a probe row's.  For each row the script prints each
 side's median over the rounds, in microseconds, and the median and range of
 the per-round ratios change/parent, `c/p` (below 1, the change is faster).
-`cold import` rests on one `import ydow` per child, so it is the noisiest
-row: a claim about import time rests on the bench's `setup_s`, not on it.
+No row times `import ydow`: the bench's `setup_s` measures that.
 
 The probe table, `probes(ydow)`, is shared with `tools/count.py`, so a count
 and a clock name the same call.  Each row is a `prepare()` function: it does
@@ -157,12 +155,15 @@ def clock(func, sets) -> float:
         gc.enable()
 
 
-def run_tree(src: Path, code: str) -> dict:
-    """The JSON line `code` prints in a fresh interpreter, src then this script's directory first on sys.path.
+def run_tree(src: Path, call: str) -> dict:
+    """The JSON line `call` prints in a fresh interpreter, src then this script's directory first on sys.path.
 
-    The child compiles ydow from source: it writes no bytecode, and looks
-    for bytecode only in an empty directory.
+    `call` calls into a module of this directory, such as
+    "count.kept_child('kept sweep')"; the child imports that module, then
+    makes the call.  The child compiles ydow from source: it writes no
+    bytecode, and looks for bytecode only in an empty directory.
     """
+    code = f"import sys; sys.path[:0] = sys.argv[1:]; import {call.partition('.')[0]}; {call}"
     with tempfile.TemporaryDirectory(prefix="ydow-pycache-") as cache:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
         argv = [sys.executable, "-c", code, str(src.resolve()), str(Path(__file__).resolve().parent)]
@@ -170,8 +171,8 @@ def run_tree(src: Path, code: str) -> dict:
     return json.loads(done.stdout)
 
 
-def child(cold_import: float) -> None:
-    """In a tree's child interpreter: print the seconds `import ydow` took and each row's best of REPEATS runs."""
+def child() -> None:
+    """In a tree's child interpreter: print each row's best of REPEATS runs, in seconds, as one JSON line."""
     import ydow
 
     rows = probes(ydow)
@@ -181,7 +182,7 @@ def child(cold_import: float) -> None:
     for _ in range(REPEATS):
         for name, prepare in rows.items():
             best[name] = min(best[name], clock(*prepare()))
-    print(json.dumps({"cold import": cold_import, **best}))
+    print(json.dumps(best))
 
 
 def report(name: str, parent: list[float], change: list[float]) -> None:
@@ -193,13 +194,10 @@ def report(name: str, parent: list[float], change: list[float]) -> None:
 
 def main(argv: list[str]) -> int:
     sources = trees(argv, __doc__, (2,))
-    # the child times `import ydow` before it imports anything of this script's
-    code = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
-            "t = time.perf_counter(); import ydow; t = time.perf_counter() - t; import ab; ab.child(t)")
     sides, runs = dict(zip(SIDES, sources)), {side: [] for side in SIDES}
     for i in range(ROUNDS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_tree(sides[side], code))
+            runs[side].append(run_tree(sides[side], "ab.child()"))
     print(f"{'probe':22} {'parent us':>10} {'change us':>10}  c/p")
     for name in runs["parent"][0]:
         report(name, *([run[name] for run in runs[side]] for side in SIDES))

@@ -12,31 +12,33 @@ instructions on CPython 3.12 and later (3.12.1 counted 0 for
 `sweep request`, 3.13.0 0 for most probes).  There the script counts
 nothing: it exits 2 with one line on stderr.
 
-The rows are `tools/ab.py`'s probe table, `ab.probes`, without its
-`cold import`, so a count and a clock name the same call.  In the child,
-each row's `prepare()` is run and its function called once untraced on the
-first argument set, which fills the memos and compiles any divisor kernel it
-needs.  Then `prepare()` runs again, so a row that reads fresh traces reads
-fresh ones, and that call is made once more under `sys.settrace`, with
-`f_trace_opcodes` set on every Python frame it enters.  The script prints,
-per tree, the bytecode instructions run in Python frames and the Python
-frames entered (a generator's resumption is an entry; a C function is
-neither).  The counts do not depend on the host's speed: two runs of one
-tree print the same numbers.  A row whose function is the bench's own
-(`sweep request`, `method block`) or a helper of `ab.py`'s
+Every number in the table is a probe row's: the rows are `tools/ab.py`'s
+probe table, `ab.probes`, so a count and a clock name the same call.  In the
+child, each row's `prepare()` is run and its function called once untraced
+on the first argument set, which fills the memos and compiles any divisor
+kernel it needs.  Then `prepare()` runs again, so a row that reads fresh
+traces reads fresh ones, and that call is made once more under
+`sys.settrace`, with `f_trace_opcodes` set on every Python frame it enters.
+The script prints, per tree, the bytecode instructions run in Python frames
+and the Python frames entered (a generator's resumption is an entry; a C
+function is neither).  The counts do not depend on the host's speed: two
+runs of one tree print the same numbers.  A row whose function is the
+bench's own (`sweep request`, `method block`) or a helper of `ab.py`'s
 (`walkers after .steps`) counts that function too, which is the same for
 every tree.
 
-After the table, one `kept` line per measurement gives, per tree, the bytes
-a cold workload leaves allocated: what `tracemalloc` still counts once the
-workload has returned and `gc.collect()` has run, so what ydow's memos and
-tables keep.  Each measurement runs in a child interpreter of its own, so
-its memos start empty.  Like the counts, the bytes do not depend on the
-host's speed.  The measurements:
+After the table, each `kept` line is a run of bench requests: it gives, per
+tree, the bytes the requests leave allocated when they start cold: what
+`tracemalloc` still counts once they have returned and `gc.collect()` has
+run, so what ydow's memos and tables keep.  Each line runs in a child
+interpreter of its own, so its memos start empty, and calls
+`bench/workloads.py` as the probe rows do, bound to the tree under test.
+Like the counts, the bytes do not depend on the host's speed.  The lines:
 
-- `kept sweep`: `dow` without a trace for one date per year mod 400
-  (June 15 of 2000-2399) x every method and pipeline;
-- `kept reports`: `verify_all()`, then `cost_report()`.
+- `kept sweep`: one `sweep` request (`run_sweep`) per year mod 400, the
+  dates June 15 of 2000-2399;
+- `kept reports`: a `reports` round's last two requests,
+  `run_reports(["verify_all"])`, then `run_reports(["cost_report"])`.
 
 Stdlib only.  It starts no thread, and its child interpreters run one at a
 time.  It writes nothing but temporary directories, which it removes.
@@ -49,7 +51,7 @@ import json
 import sys
 import tracemalloc
 
-from ab import probes, run_tree, trees
+from ab import load_workloads, probes, run_tree, trees
 
 
 def count(func, *args) -> tuple[int, int]:
@@ -89,28 +91,20 @@ def child() -> None:
     print(json.dumps(table))
 
 
-def kept_sweep(ydow) -> None:
-    for year in range(2000, 2400):
-        date = ydow.CivilDate(year, 6, 15)
-        for mid in ydow.METHODS:
-            for pl in ydow.PipelineId:
-                ydow.dow(date, mid, pl, with_trace=False)
-
-
-def kept_reports(ydow) -> None:
-    ydow.verify_all(), ydow.cost_report()
-
-
-KEPT = {"kept sweep": kept_sweep, "kept reports": kept_reports}
+KEPT = {
+    "kept sweep": lambda w: [w.run_sweep(f"{year}-06-15") for year in range(2000, 2400)],
+    "kept reports": lambda w: (w.run_reports(["verify_all"]), w.run_reports(["cost_report"])),
+}
 
 
 def kept_child(name: str) -> None:
-    """In a fresh child interpreter: print the bytes one KEPT measurement leaves allocated as one JSON line."""
+    """In a fresh child interpreter: print the bytes one KEPT line's requests leave allocated as one JSON line."""
     import ydow
 
+    workloads = load_workloads(ydow)
     gc.collect()
     tracemalloc.start()
-    KEPT[name](ydow)
+    KEPT[name](workloads)
     gc.collect()
     kept = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
@@ -123,10 +117,8 @@ def main(argv: list[str]) -> int:
         print(f"count.py: opcode counts hold only on CPython 3.10 and 3.11, not on {sys.version.split()[0]} "
               f"({sys.executable})", file=sys.stderr)
         return 2
-    code = "import sys; sys.path[:0] = sys.argv[1:]; import count; count.child()"
-    tables = [run_tree(src, code) for src in sources]
-    kept = {name: [run_tree(src, f"import sys; sys.path[:0] = sys.argv[1:]; import count; count.kept_child({name!r})")
-                   for src in sources] for name in KEPT}
+    tables = [run_tree(src, "count.child()") for src in sources]
+    kept = {name: [run_tree(src, f"count.kept_child({name!r})") for src in sources] for name in KEPT}
     for i, src in enumerate(sources):
         print(f"tree {i}: {src}")
     print(f"{'probe':24}" + "".join(f" {f'opcodes {i}':>10} {f'frames {i}':>9}" for i in range(len(sources))))
